@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"nvmeopf/internal/bdev"
 	"nvmeopf/internal/core"
@@ -350,7 +349,7 @@ func BenchmarkMultiConnTCThroughput(b *testing.B) {
 
 // benchSmallIOReads drives small closed-loop reads from several
 // connections against one in-memory target and reports achieved IOPS.
-func benchSmallIOReads(b *testing.B, blockSize uint32, conns int, dcfg DialConfig) {
+func benchSmallIOReads(b *testing.B, blockSize uint32, conns int) {
 	b.Helper()
 	const depth = 64
 	srv, err := ListenMemory("127.0.0.1:0", ModeOPF, blockSize, 1<<16)
@@ -360,9 +359,9 @@ func benchSmallIOReads(b *testing.B, blockSize uint32, conns int, dcfg DialConfi
 	defer srv.Close()
 	clients := make([]*Conn, conns)
 	for i := range clients {
-		c, err := DialWith(srv.Addr(), InitiatorConfig{
+		c, err := Dial(srv.Addr(), InitiatorConfig{
 			Class: ThroughputCritical, Window: 16, QueueDepth: depth, NSID: 1,
-		}, dcfg)
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -415,25 +414,11 @@ func benchSmallIOReads(b *testing.B, blockSize uint32, conns int, dcfg DialConfi
 // (512 B – 4 KiB) at one and four queue pairs. The per-PDU costs —
 // header parse, CID allocation, response stamping — dominate at these
 // sizes, so this is the regression canary for datapath CPU overhead.
-// The coalesced variants turn on host-side submission coalescing
-// (DialConfig.CoalesceBytes/CoalesceDelay) so the syscall-amortization
-// win — and the latency cost of the aggregation window — is measured
-// against the same workload.
 func BenchmarkSmallIOIOPS(b *testing.B) {
 	for _, bs := range []uint32{512, 1024, 2048, 4096} {
 		for _, conns := range []int{1, 4} {
 			b.Run(fmt.Sprintf("bs=%d/qp=%d", bs, conns), func(b *testing.B) {
-				benchSmallIOReads(b, bs, conns, DialConfig{})
-			})
-		}
-	}
-	for _, bs := range []uint32{512, 4096} {
-		for _, conns := range []int{1, 4} {
-			b.Run(fmt.Sprintf("bs=%d/qp=%d/coalesced", bs, conns), func(b *testing.B) {
-				benchSmallIOReads(b, bs, conns, DialConfig{
-					CoalesceBytes: 8 << 10,
-					CoalesceDelay: 20 * time.Microsecond,
-				})
+				benchSmallIOReads(b, bs, conns)
 			})
 		}
 	}

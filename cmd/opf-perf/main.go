@@ -212,8 +212,6 @@ func main() {
 		span     = flag.Uint64("span", 1<<16, "LBA span per connection")
 		metrics  = flag.String("metrics-addr", "", "serve host-side /metrics and /debug endpoints on this address (empty: off)")
 		telInt   = flag.Duration("telemetry-interval", 0, "emit in-band TelemetryUpdate e2e feedback to the target at this cadence (0: off, wire-identical to builds without the channel)")
-		coBytes  = flag.Int("coalesce-bytes", 0, "submission coalescing: flush once this many bytes are staged (0 with -coalesce-delay 0: off, wire-identical)")
-		coDelay  = flag.Duration("coalesce-delay", 0, "submission coalescing: hold staged submissions up to this long waiting for more (0 with -coalesce-bytes 0: off)")
 		traceOut = flag.String("trace-dump", "", "write a host-side flight-recorder dump (JSONL) to this file at exit; pair with the target's /debug/trace for opf-trace")
 
 		discovery  = flag.String("discovery", "", "cluster mode: route a replicated workload through this discovery control plane instead of -addr")
@@ -268,8 +266,6 @@ func main() {
 			Telemetry: tel, Recorder: rec,
 		}, tcptrans.DialConfig{
 			TelemetryInterval: *telInt,
-			CoalesceBytes:     *coBytes,
-			CoalesceDelay:     *coDelay,
 		})
 		if err != nil {
 			log.Fatalf("dial %d: %v", i, err)

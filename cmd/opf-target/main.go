@@ -55,7 +55,7 @@ func main() {
 		blockSize = flag.Uint("block-size", 4096, "block size in bytes")
 		readLat   = flag.Duration("read-lat", 0, "injected per-read device latency")
 		writeLat  = flag.Duration("write-lat", 0, "injected per-write device latency")
-		shards    = flag.Int("shards", 0, "reactor shards owning sessions round-robin (0: GOMAXPROCS)")
+		shards    = flag.Int("shards", 0, "reactor shards; each session goes to the one with the fewest live sessions (0: GOMAXPROCS)")
 		statsSec  = flag.Int("stats", 10, "stats print interval seconds (0: off)")
 		discovery = flag.String("discovery", "", "discovery endpoint to register with (optional)")
 		nqn       = flag.String("nqn", "nqn.2024-01.io.nvmeopf:target", "subsystem NQN for discovery registration")

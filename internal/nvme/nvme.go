@@ -1,7 +1,7 @@
 // Package nvme implements the subset of the NVMe base specification that an
 // NVMe-over-Fabrics runtime needs: the I/O command set (read/write/flush),
 // 64-byte submission queue entries, 16-byte completion queue entries, status
-// codes, and circular submission/completion queues with head/tail doorbells.
+// codes, and per-queue command identifier allocation.
 //
 // The types mirror the on-device layout closely enough that the fabric layer
 // (internal/proto) can embed commands in capsules byte-for-byte, and the SSD

@@ -3,8 +3,11 @@ package proto
 // Fuzz entry for the PDU decode surface: the Reader (pooled and plain,
 // with and without a zero-copy sink) and one-shot Unmarshal must never
 // panic, over-allocate beyond MaxPDUSize, or mis-handle a truncated or
-// hostile stream. CI runs this as a short -fuzztime smoke; longer local
-// runs explore deeper.
+// hostile stream. It is also a differential test: every Reader mode must
+// agree with the plain Reader on every input — the same error-or-not at
+// each step and a byte-identical re-marshal of each PDU — so the pooled
+// and zero-copy paths can never decode a field differently. CI runs this
+// as a short -fuzztime smoke; longer local runs explore deeper.
 
 import (
 	"bytes"
@@ -53,9 +56,8 @@ func FuzzPDUDecode(f *testing.F) {
 		if p, err := Unmarshal(data); err == nil && p == nil {
 			t.Fatal("Unmarshal returned nil PDU with nil error")
 		}
-		// Streaming decode under each reader mode: every PDU the stream
-		// yields must re-marshal without panicking, and pooled PDUs must
-		// survive a full release cycle.
+		// Streaming decode under each reader mode, in lockstep with the
+		// plain Reader; pooled PDUs must survive a full release cycle.
 		sink := func(_ nvme.CID, _, length uint32) []byte {
 			if int(length) <= len(dst) {
 				return dst[:length]
@@ -63,19 +65,27 @@ func FuzzPDUDecode(f *testing.F) {
 			return nil
 		}
 		for _, mode := range []struct {
+			name    string
 			pooled  bool
 			useSink bool
-		}{{false, false}, {true, false}, {true, true}} {
+		}{{"pooled", true, false}, {"pooled+sink", true, true}, {"plain+sink", false, true}} {
+			plain := NewReader(bytes.NewReader(data), false)
 			rd := NewReader(bytes.NewReader(data), mode.pooled)
 			if mode.useSink {
 				rd.SetC2HSink(sink)
 			}
 			for i := 0; i < 16; i++ {
+				want, werr := plain.Next()
 				p, err := rd.Next()
+				if (werr == nil) != (err == nil) {
+					t.Fatalf("%s step %d: error %v, plain Reader error %v", mode.name, i, err, werr)
+				}
 				if err != nil {
 					break
 				}
-				Marshal(p)
+				if got, w := Marshal(p), Marshal(want); !bytes.Equal(got, w) {
+					t.Fatalf("%s step %d: %v re-marshals differently from the plain Reader's", mode.name, i, p.PDUType())
+				}
 				if mode.pooled {
 					ReleaseInbound(p)
 				}

@@ -156,12 +156,6 @@ func ReleaseInbound(p PDU) {
 	Recycle(p)
 }
 
-// pooledDecoder is implemented by the data-bearing PDU types: decode with
-// the payload drawn from the buffer pool instead of a fresh allocation.
-type pooledDecoder interface {
-	decodeBodyPooled(src []byte) error
-}
-
 // Reader decodes a PDU stream with a reusable scratch buffer. With
 // pooling enabled, per-request PDU structs come from the struct pools and
 // payloads from the buffer pool, making Next allocation-free in steady
@@ -245,21 +239,23 @@ func (rd *Reader) Next() (PDU, error) {
 			return nil, err
 		}
 	}
-	body := buf[chSize:]
-	var err error
-	if pd, ok := p.(pooledDecoder); ok && rd.pooled {
-		err = pd.decodeBodyPooled(body)
-	} else {
-		err = p.decodeBody(body)
-	}
-	if err != nil {
+	if err := decode(p, buf[chSize:], flags, rd.pooled); err != nil {
 		if rd.pooled {
 			ReleaseInbound(p)
 		}
 		return nil, err
 	}
-	p.setHeaderFlags(flags)
 	return p, nil
+}
+
+// payloadBuf returns an n-byte buffer for a decoded payload: a GetBuf
+// buffer the consumer releases for a pooling Reader, else a fresh slice
+// the caller keeps.
+func payloadBuf(n int, pooled bool) []byte {
+	if pooled {
+		return GetBuf(n)
+	}
+	return make([]byte, n)
 }
 
 // nextC2HDataSink is the zero-copy read path: the 16-byte PDU-specific
@@ -275,9 +271,9 @@ func (rd *Reader) nextC2HDataSink(plen int, flags uint8) (PDU, error) {
 		return nil, err
 	}
 	payload := plen - chSize - c2hPSHSize
-	n := binary.LittleEndian.Uint32(psh[8:])
-	if int(n) != payload {
-		return nil, fmt.Errorf("proto: C2HData length field %d != payload %d", n, payload)
+	cid, offset, err := decodeDataPSH(TypeC2HData, psh, payload)
+	if err != nil {
+		return nil, err
 	}
 	var p *C2HData
 	if rd.pooled {
@@ -285,15 +281,12 @@ func (rd *Reader) nextC2HDataSink(plen int, flags uint8) (PDU, error) {
 	} else {
 		p = &C2HData{}
 	}
-	p.CCCID = binary.LittleEndian.Uint16(psh[0:])
-	p.Offset = binary.LittleEndian.Uint32(psh[4:])
-	p.Borrowed = false
+	p.CCCID, p.Offset = cid, offset
 	if payload == 0 {
-		p.Data = nil
 		p.setHeaderFlags(flags)
 		return p, nil
 	}
-	if dst := rd.sink(p.CCCID, p.Offset, n); len(dst) == payload {
+	if dst := rd.sink(cid, offset, uint32(payload)); len(dst) == payload {
 		if _, err := io.ReadFull(rd.r, dst); err != nil {
 			if rd.pooled {
 				Recycle(p)
@@ -305,12 +298,7 @@ func (rd *Reader) nextC2HDataSink(plen int, flags uint8) (PDU, error) {
 		p.setHeaderFlags(flags)
 		return p, nil
 	}
-	var buf []byte
-	if rd.pooled {
-		buf = GetBuf(payload)
-	} else {
-		buf = make([]byte, payload)
-	}
+	buf := payloadBuf(payload, rd.pooled)
 	if _, err := io.ReadFull(rd.r, buf); err != nil {
 		if rd.pooled {
 			PutBuf(buf)
@@ -330,58 +318,4 @@ func bitsFor(n int) uint {
 		b++
 	}
 	return b
-}
-
-// clonePayload copies src into a pooled buffer (nil for empty payloads).
-func clonePayload(src []byte) []byte {
-	if len(src) == 0 {
-		return nil
-	}
-	dst := GetBuf(len(src))
-	copy(dst, src)
-	return dst
-}
-
-// decodeBodyPooled implements pooledDecoder for CapsuleCmd.
-func (p *CapsuleCmd) decodeBodyPooled(src []byte) error {
-	if len(src) < nvme.CommandSize {
-		return fmt.Errorf("proto: short CapsuleCmd body: %d", len(src))
-	}
-	if err := p.Cmd.Unmarshal(src); err != nil {
-		return err
-	}
-	p.Prio = decodePriority(src[sqePrioOffset])
-	p.Tenant = TenantID(binary.LittleEndian.Uint16(src[sqeTenantOffset:]))
-	p.Data = clonePayload(src[nvme.CommandSize:])
-	return nil
-}
-
-// decodeBodyPooled implements pooledDecoder for C2HData.
-func (p *C2HData) decodeBodyPooled(src []byte) error {
-	if len(src) < c2hPSHSize {
-		return fmt.Errorf("proto: short C2HData body: %d", len(src))
-	}
-	p.CCCID = binary.LittleEndian.Uint16(src[0:])
-	p.Offset = binary.LittleEndian.Uint32(src[4:])
-	n := binary.LittleEndian.Uint32(src[8:])
-	if int(n) != len(src)-c2hPSHSize {
-		return fmt.Errorf("proto: C2HData length field %d != payload %d", n, len(src)-c2hPSHSize)
-	}
-	p.Data = clonePayload(src[c2hPSHSize:])
-	return nil
-}
-
-// decodeBodyPooled implements pooledDecoder for H2CData.
-func (p *H2CData) decodeBodyPooled(src []byte) error {
-	if len(src) < c2hPSHSize {
-		return fmt.Errorf("proto: short H2CData body: %d", len(src))
-	}
-	p.CCCID = binary.LittleEndian.Uint16(src[0:])
-	p.Offset = binary.LittleEndian.Uint32(src[4:])
-	n := binary.LittleEndian.Uint32(src[8:])
-	if int(n) != len(src)-c2hPSHSize {
-		return fmt.Errorf("proto: H2CData length field %d != payload %d", n, len(src)-c2hPSHSize)
-	}
-	p.Data = clonePayload(src[c2hPSHSize:])
-	return nil
 }

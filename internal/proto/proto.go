@@ -312,8 +312,9 @@ func (p *CapsuleCmd) encodeFixed(dst []byte) {
 	binary.LittleEndian.PutUint16(dst[sqeTenantOffset:], uint16(p.Tenant))
 }
 
-func (p *CapsuleCmd) payloadRef() []byte { return p.Data }
+func (p *CapsuleCmd) payload() *[]byte { return &p.Data }
 
+// decodeBody leaves Data aliasing src; decode detaches it.
 func (p *CapsuleCmd) decodeBody(src []byte) error {
 	if len(src) < nvme.CommandSize {
 		return fmt.Errorf("proto: short CapsuleCmd body: %d", len(src))
@@ -323,11 +324,7 @@ func (p *CapsuleCmd) decodeBody(src []byte) error {
 	}
 	p.Prio = decodePriority(src[sqePrioOffset])
 	p.Tenant = TenantID(binary.LittleEndian.Uint16(src[sqeTenantOffset:]))
-	if len(src) > nvme.CommandSize {
-		p.Data = append([]byte(nil), src[nvme.CommandSize:]...)
-	} else {
-		p.Data = nil
-	}
+	p.Data = src[nvme.CommandSize:]
 	return nil
 }
 
@@ -407,19 +404,14 @@ func (p *C2HData) encodeFixed(dst []byte) {
 	binary.LittleEndian.PutUint32(dst[8:], uint32(len(p.Data)))
 }
 
-func (p *C2HData) payloadRef() []byte { return p.Data }
+func (p *C2HData) payload() *[]byte { return &p.Data }
 
-func (p *C2HData) decodeBody(src []byte) error {
-	if len(src) < c2hPSHSize {
-		return fmt.Errorf("proto: short C2HData body: %d", len(src))
+// decodeBody leaves Data aliasing src; decode detaches it.
+func (p *C2HData) decodeBody(src []byte) (err error) {
+	if p.CCCID, p.Offset, err = decodeDataPSH(TypeC2HData, src, len(src)-c2hPSHSize); err != nil {
+		return err
 	}
-	p.CCCID = binary.LittleEndian.Uint16(src[0:])
-	p.Offset = binary.LittleEndian.Uint32(src[4:])
-	n := binary.LittleEndian.Uint32(src[8:])
-	if int(n) != len(src)-c2hPSHSize {
-		return fmt.Errorf("proto: C2HData length field %d != payload %d", n, len(src)-c2hPSHSize)
-	}
-	p.Data = append([]byte(nil), src[c2hPSHSize:]...)
+	p.Data = src[c2hPSHSize:]
 	return nil
 }
 
@@ -452,20 +444,28 @@ func (p *H2CData) encodeFixed(dst []byte) {
 	binary.LittleEndian.PutUint32(dst[8:], uint32(len(p.Data)))
 }
 
-func (p *H2CData) payloadRef() []byte { return p.Data }
+func (p *H2CData) payload() *[]byte { return &p.Data }
 
-func (p *H2CData) decodeBody(src []byte) error {
-	if len(src) < c2hPSHSize {
-		return fmt.Errorf("proto: short H2CData body: %d", len(src))
+// decodeBody leaves Data aliasing src; decode detaches it.
+func (p *H2CData) decodeBody(src []byte) (err error) {
+	if p.CCCID, p.Offset, err = decodeDataPSH(TypeH2CData, src, len(src)-c2hPSHSize); err != nil {
+		return err
 	}
-	p.CCCID = binary.LittleEndian.Uint16(src[0:])
-	p.Offset = binary.LittleEndian.Uint32(src[4:])
-	n := binary.LittleEndian.Uint32(src[8:])
-	if int(n) != len(src)-c2hPSHSize {
-		return fmt.Errorf("proto: H2CData length field %d != payload %d", n, len(src)-c2hPSHSize)
-	}
-	p.Data = append([]byte(nil), src[c2hPSHSize:]...)
+	p.Data = src[c2hPSHSize:]
 	return nil
+}
+
+// decodeDataPSH decodes the PDU-specific header C2HData and H2CData
+// share and checks its length field against the payload bytes on the
+// wire after it.
+func decodeDataPSH(typ Type, psh []byte, payload int) (cid nvme.CID, offset uint32, err error) {
+	if len(psh) < c2hPSHSize {
+		return 0, 0, fmt.Errorf("proto: short %v body: %d", typ, len(psh))
+	}
+	if n := binary.LittleEndian.Uint32(psh[8:]); int(n) != payload {
+		return 0, 0, fmt.Errorf("proto: %v length field %d != payload %d", typ, n, payload)
+	}
+	return binary.LittleEndian.Uint16(psh[0:]), binary.LittleEndian.Uint32(psh[4:]), nil
 }
 
 func (p *H2CData) headerFlags() uint8     { return 0 }
@@ -535,8 +535,8 @@ func Marshal(p PDU) []byte {
 // bytes, which a scatter-gather writer then sends straight from the
 // owner's buffer.
 type splitPDU interface {
-	encodeFixed(dst []byte) // dst has WireSize()-chSize-len(payloadRef()) bytes
-	payloadRef() []byte
+	encodeFixed(dst []byte) // dst has WireSize()-chSize-len(*payload()) bytes
+	payload() *[]byte
 }
 
 // AppendPDUHeader appends the encoding of p minus its trailing payload
@@ -555,7 +555,7 @@ func AppendPDUHeader(dst []byte, p PDU) []byte {
 		return AppendPDU(dst, p)
 	}
 	size := p.WireSize()
-	prefix := size - len(sp.payloadRef())
+	prefix := size - len(*sp.payload())
 	off := len(dst)
 	dst = append(dst, make([]byte, prefix)...)
 	buf := dst[off:]
@@ -574,7 +574,7 @@ func AppendPDUHeader(dst []byte, p PDU) []byte {
 // bytes are on the wire.
 func PayloadRef(p PDU) []byte {
 	if sp, ok := p.(splitPDU); ok {
-		return sp.payloadRef()
+		return *sp.payload()
 	}
 	return nil
 }
@@ -625,11 +625,33 @@ func Unmarshal(buf []byte) (PDU, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.decodeBody(buf[chSize:]); err != nil {
+	if err := decode(p, buf[chSize:], flags, false); err != nil {
 		return nil, err
 	}
-	p.setHeaderFlags(flags)
 	return p, nil
+}
+
+// decode fills p from a PDU body (the bytes after the common header) and
+// its header flags; Unmarshal, ReadPDU and Reader.Next all decode here.
+// decodeBody leaves a data-bearing PDU's payload aliasing body, which the
+// caller reuses, so decode copies it into a payloadBuf: pooled or fresh
+// is decided there and nowhere else.
+func decode(p PDU, body []byte, flags uint8, pooled bool) error {
+	if err := p.decodeBody(body); err != nil {
+		return err
+	}
+	if sp, ok := p.(splitPDU); ok {
+		data := sp.payload()
+		if len(*data) == 0 {
+			*data = nil
+		} else {
+			buf := payloadBuf(len(*data), pooled)
+			copy(buf, *data)
+			*data = buf
+		}
+	}
+	p.setHeaderFlags(flags)
+	return nil
 }
 
 // WritePDU encodes p and writes it to w.

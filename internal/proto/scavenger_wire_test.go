@@ -8,6 +8,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"nvmeopf/internal/nvme"
@@ -98,34 +99,74 @@ func TestLegacyPriorityDecodeUnchanged(t *testing.T) {
 }
 
 // TestScavengerPooledDecodeKeepsBit pins the pooled (zero-alloc) reader's
-// CapsuleCmd decode against the plain one for the scavenger bit. The
-// pooled path once carried its own mask-0x3 decode — the legacy downgrade
-// meant for *peers* — silently demoting every scavenger command to the
-// FIFO path on the real TCP server while the simulator (plain decode)
-// kept the class. Any byte the two decoders disagree on is a bug.
+// decode against the plain one for every data-bearing PDU. The pooled
+// path once carried its own CapsuleCmd decode with a mask-0x3 priority —
+// the legacy downgrade meant for *peers* — silently demoting every
+// scavenger command to the FIFO path on the real TCP server while the
+// simulator (plain decode) kept the class. Both readers must yield the
+// exact input on well-formed PDUs and both must reject a short body or a
+// length field that disagrees with the payload.
 func TestScavengerPooledDecodeKeepsBit(t *testing.T) {
-	in := &CapsuleCmd{
+	scav := &CapsuleCmd{
 		Cmd:    nvme.Command{Opcode: nvme.OpWrite, CID: 9, NSID: 1, SLBA: 4, NLB: 0},
 		Prio:   PrioScavenger,
 		Tenant: 300,
 		Data:   bytes.Repeat([]byte{0xE7}, 4096),
 	}
-	wire := Marshal(in)
-	for _, pooled := range []bool{false, true} {
-		rd := NewReader(bytes.NewReader(wire), pooled)
-		got, err := rd.Next()
-		if err != nil {
-			t.Fatalf("pooled=%v: %v", pooled, err)
-		}
-		cc, ok := got.(*CapsuleCmd)
-		if !ok {
-			t.Fatalf("pooled=%v: decoded %T", pooled, got)
-		}
-		if cc.Prio != PrioScavenger || cc.Tenant != 300 {
-			t.Fatalf("pooled=%v: prio %v tenant %d, want scavenger/300", pooled, cc.Prio, cc.Tenant)
-		}
-		if !bytes.Equal(cc.Data, in.Data) {
-			t.Fatalf("pooled=%v: payload mismatch", pooled)
-		}
+	noData := &CapsuleCmd{Cmd: scav.Cmd, Prio: PrioScavenger, Tenant: 65535}
+	payload := bytes.Repeat([]byte{0x3C}, 600)
+	c2h := &C2HData{CCCID: 7, Offset: 4096, Data: payload}
+	h2c := &H2CData{CCCID: 8, Offset: 512, Data: payload}
+	// short keeps the common header of p but cuts its body to n bytes.
+	short := func(p PDU, n int) []byte {
+		w := Marshal(p)[:chSize+n]
+		binary.LittleEndian.PutUint32(w[4:], uint32(len(w)))
+		return w
+	}
+	// lying bumps the length field of a C2HData/H2CData header.
+	lying := func(p PDU) []byte {
+		w := Marshal(p)
+		binary.LittleEndian.PutUint32(w[chSize+8:], uint32(len(payload)+1))
+		return w
+	}
+	cases := []struct {
+		name string
+		in   PDU // nil: the wire must be rejected
+		wire []byte
+	}{
+		{"capsule-cmd-scavenger", scav, Marshal(scav)},
+		{"capsule-cmd-no-data", noData, Marshal(noData)},
+		{"c2h-data", c2h, Marshal(c2h)},
+		{"h2c-data", h2c, Marshal(h2c)},
+		{"capsule-cmd-short", nil, short(scav, nvme.CommandSize-1)},
+		{"c2h-data-short", nil, short(c2h, c2hPSHSize-1)},
+		{"h2c-data-short", nil, short(h2c, c2hPSHSize-1)},
+		{"c2h-data-length-mismatch", nil, lying(c2h)},
+		{"h2c-data-length-mismatch", nil, lying(h2c)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, pooled := range []bool{false, true} {
+				got, err := NewReader(bytes.NewReader(tc.wire), pooled).Next()
+				if tc.in == nil {
+					if err == nil {
+						t.Fatalf("pooled=%v: decoded %v from a malformed PDU", pooled, got.PDUType())
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("pooled=%v: %v", pooled, err)
+				}
+				if got.PDUType() != tc.in.PDUType() || !bytes.Equal(Marshal(got), tc.wire) {
+					t.Fatalf("pooled=%v: decoded %+v, want %+v", pooled, got, tc.in)
+				}
+				if cc, ok := got.(*CapsuleCmd); ok && (cc.Prio != PrioScavenger || cc.Tenant != tc.in.(*CapsuleCmd).Tenant) {
+					t.Fatalf("pooled=%v: prio %v tenant %d, want scavenger/%d", pooled, cc.Prio, cc.Tenant, tc.in.(*CapsuleCmd).Tenant)
+				}
+				if pooled {
+					ReleaseInbound(got)
+				}
+			}
+		})
 	}
 }

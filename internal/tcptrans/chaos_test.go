@@ -25,6 +25,7 @@ import (
 
 	"nvmeopf/internal/faultnet"
 	"nvmeopf/internal/hostqp"
+	"nvmeopf/internal/nvme"
 	"nvmeopf/internal/proto"
 	"nvmeopf/internal/targetqp"
 	"nvmeopf/internal/telemetry"
@@ -195,9 +196,10 @@ func TestChaosVictimKilledSurvivorsMeetDrainWindows(t *testing.T) {
 }
 
 // TestChaosVectoredFlushKill aims the kill switch at the scatter-gather
-// writer: the victim runs with submission coalescing enabled (so flushes
-// are multi-PDU vectored writes holding payload references) and is killed
-// over and over mid-flight, under -race. The invariants: no staged PDU is
+// writer: the victim submits each round's writes as one asynchronous
+// burst (so the writer's greedy drain stages multi-PDU vectored flushes
+// holding payload references) and is killed over and over mid-flight,
+// under -race. The invariants: no staged PDU is
 // released twice or leaked (the pools would corrupt and -race would
 // fire), reads landed by the zero-copy sink stay byte-exact across kills,
 // and every teardown returns its goroutines and target session.
@@ -217,9 +219,8 @@ func TestChaosVectoredFlushKill(t *testing.T) {
 		HandshakeTimeout: 5 * time.Second,
 		RequestTimeout:   500 * time.Millisecond,
 		Dialer:           faultnet.Dialer(inj),
-		CoalesceBytes:    32 << 10,
-		CoalesceDelay:    100 * time.Microsecond,
 	}
+	const burst = 8
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -228,7 +229,7 @@ func TestChaosVectoredFlushKill(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		want := make([]byte, 4*4096)
+		want := make([]byte, burst*4096)
 		for i := range want {
 			want[i] = byte(i * 13)
 		}
@@ -257,20 +258,38 @@ func TestChaosVectoredFlushKill(t *testing.T) {
 					return
 				default:
 				}
-				// Large referenced write payloads (MaxDataLen caps each
-				// capsule at one block), then a multi-fragment read
-				// reassembled by the zero-copy sink.
-				werr := false
-				for blk := 0; blk < 4; blk++ {
-					if err := c.Write(uint64(blk), want[blk*4096:(blk+1)*4096], 0); err != nil {
-						werr = true
+				// A burst of large referenced write payloads (MaxDataLen
+				// caps each capsule at one block) queued back to back, so
+				// the writer flushes several per vectored write; then a
+				// multi-fragment read reassembled by the zero-copy sink.
+				done := make(chan nvme.Status, burst)
+				submitted := 0
+				for blk := 0; blk < burst; blk++ {
+					err := c.Submit(hostqp.IO{
+						Op: nvme.OpWrite, LBA: uint64(blk), Blocks: 1,
+						Data: want[blk*4096 : (blk+1)*4096],
+						Done: func(r hostqp.Result) { done <- r.Status },
+					})
+					if err != nil {
 						break
 					}
+					submitted++
 				}
-				if werr {
+				wok := submitted == burst
+			wait:
+				for i := 0; i < submitted; i++ {
+					select {
+					case st := <-done:
+						wok = wok && st.OK()
+					case <-c.dead:
+						wok = false
+						break wait
+					}
+				}
+				if !wok {
 					break
 				}
-				got, err := c.Read(0, 4, 0)
+				got, err := c.Read(0, burst, 0)
 				if err != nil {
 					break
 				}

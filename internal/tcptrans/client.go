@@ -41,17 +41,6 @@ type DialConfig struct {
 	// may coalesce into a single write syscall (default 256 KiB). 1
 	// degenerates to one syscall per PDU, the pre-shard writer.
 	WriteBatchBytes int
-	// CoalesceBytes/CoalesceDelay open the submission-coalescing window:
-	// when the outbound queue runs dry with fewer than CoalesceBytes
-	// staged, the writer holds the batch up to CoalesceDelay waiting for
-	// more submissions, so a stream of small commands shares one vectored
-	// flush instead of paying a write syscall each — at the cost of up to
-	// CoalesceDelay added submission latency. Setting either enables the
-	// window (the other takes DefaultCoalesceBytes / DefaultCoalesceDelay);
-	// both zero (the default) disable it, leaving the wire stream
-	// byte-identical to an uncoalesced connection's.
-	CoalesceBytes int
-	CoalesceDelay time.Duration
 	// TelemetryInterval is the cadence the connection emits TelemetryUpdate
 	// PDUs on: the in-band feedback channel shipping host-observed
 	// end-to-end latency deltas, outstanding depth, and busy/retry counts
@@ -140,14 +129,6 @@ func (d DialConfig) withDefaults() DialConfig {
 	}
 	if d.WriteBatchBytes <= 0 {
 		d.WriteBatchBytes = maxWriteBatch
-	}
-	if d.CoalesceBytes > 0 || d.CoalesceDelay > 0 {
-		if d.CoalesceBytes <= 0 {
-			d.CoalesceBytes = DefaultCoalesceBytes
-		}
-		if d.CoalesceDelay <= 0 {
-			d.CoalesceDelay = DefaultCoalesceDelay
-		}
 	}
 	return d
 }
@@ -262,11 +243,9 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 	go func() {
 		defer c.wg.Done()
 		drainWriter(nc, out, c.dead, c.quit, writerConfig{
-			batch:         dcfg.WriteBatchBytes,
-			coalesceBytes: dcfg.CoalesceBytes,
-			coalesceDelay: dcfg.CoalesceDelay,
-			release:       releaseClientPDU,
-			closeConn:     c.netClose,
+			batch:     dcfg.WriteBatchBytes,
+			release:   releaseClientPDU,
+			closeConn: c.netClose,
 		})
 	}()
 	// Reactor: owns the session.

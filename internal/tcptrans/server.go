@@ -8,7 +8,9 @@
 // The target datapath is sharded, mirroring SPDK's reactor-per-core
 // deployment: the server runs ServerConfig.Shards reactor goroutines
 // (default GOMAXPROCS), each the sole owner of one targetqp.Target
-// holding the sessions assigned to it round-robin at accept time. A
+// holding the sessions placed on it at accept time — each new session
+// goes to the shard with the fewest live sessions (ties to the lowest
+// index), so a disconnect frees its slot for the next arrival. A
 // shard's sessions, PM queues, and request pool are touched only by its
 // reactor, so — exactly as in the paper's per-initiator isolation
 // argument (§IV) — the priority-manager state needs no locks even with
@@ -33,7 +35,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nvmeopf/internal/autotune"
@@ -52,9 +53,9 @@ type ServerConfig struct {
 	// Device is the backing store.
 	Device bdev.Device
 	// Shards is the number of reactor shards, each owning the sessions
-	// assigned to it (round-robin) with its own target state and event
-	// queue. Default GOMAXPROCS, capped at 256 reactor lanes (the 16-bit
-	// tenant-ID space leaves each lane 256 stride slots).
+	// placed on it (least-loaded at accept) with its own target state and
+	// event queue. Default GOMAXPROCS, capped at 256 reactor lanes (the
+	// 16-bit tenant-ID space leaves each lane 256 stride slots).
 	// 1 reproduces the old single-reactor deployment.
 	Shards int
 	// InflightPerConn bounds how many inbound PDUs one connection may
@@ -134,6 +135,10 @@ type shard struct {
 	srv    *Server
 	target *targetqp.Target
 	events chan func()
+	// sessions counts the live connections placed on this shard
+	// (guarded by srv.mu): incremented at accept, decremented when
+	// serveConn returns.
+	sessions int
 }
 
 // post schedules fn on this shard's reactor; false if the server is
@@ -149,16 +154,15 @@ func (sh *shard) post(fn func()) bool {
 
 // Server is a TCP NVMe-oPF target bound to a listener.
 type Server struct {
-	cfg       ServerConfig
-	ln        net.Listener
-	shards    []*shard
-	nextShard atomic.Uint32 // round-robin accept-time assignment
-	jobs      chan func()
-	quit      chan struct{}
-	wg        sync.WaitGroup
-	mu        sync.Mutex
-	conns     map[net.Conn]struct{}
-	closed    bool
+	cfg    ServerConfig
+	ln     net.Listener
+	shards []*shard
+	jobs   chan func()
+	quit   chan struct{}
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
 }
 
 // Listen starts a target on addr (e.g. "127.0.0.1:0").
@@ -362,11 +366,19 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 				return
 			}
 			s.conns[conn] = struct{}{}
+			// Least-loaded placement, ties to the lowest index.
+			sh := s.shards[0]
+			for _, c := range s.shards[1:] {
+				if c.sessions < sh.sessions {
+					sh = c
+				}
+			}
+			sh.sessions++
 			s.mu.Unlock()
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				s.serveConn(conn)
+				s.serveConn(conn, sh)
 			}()
 		}
 	}()
@@ -458,19 +470,19 @@ func (s *Server) Close() error {
 	return err
 }
 
-// serveConn runs one initiator connection on the shard it is assigned
-// to: a writer goroutine batches outbound PDUs into single writes, and
+// serveConn runs one initiator connection on the shard it was placed
+// on at accept: a writer goroutine batches outbound PDUs into single writes, and
 // the read loop pipelines inbound PDUs onto the shard's reactor under
 // the per-connection inflight bound — the reader does not wait for one
 // PDU to be handled before decoding the next.
-func (s *Server) serveConn(conn net.Conn) {
+func (s *Server) serveConn(conn net.Conn, sh *shard) {
 	defer conn.Close()
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
+		sh.sessions--
 		s.mu.Unlock()
 	}()
-	sh := s.shards[int(s.nextShard.Add(1)-1)%len(s.shards)]
 
 	out := make(chan proto.PDU, 256)
 	connDone := make(chan struct{}) // closed when this connection ends

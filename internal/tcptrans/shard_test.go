@@ -25,8 +25,9 @@ import (
 
 // TestShardedTenantIDsUnique dials more connections than shards and
 // checks the striding invariant: every session gets a globally unique
-// tenant ID, and with serial dials the round-robin assignment still
-// hands out 0..N-1 (shard i strides i, i+S, i+2S, …).
+// tenant ID, and with serial dials and no disconnects the least-loaded
+// placement fills shards in turn, so it still hands out 0..N-1 (shard i
+// strides i, i+S, i+2S, …).
 func TestShardedTenantIDsUnique(t *testing.T) {
 	srv, err := Listen("127.0.0.1:0", ServerConfig{
 		Mode: targetqp.ModeOPF, Device: newMemoryDevice(512, 1024), Shards: 4,
@@ -59,7 +60,7 @@ func TestShardedTenantIDsUnique(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	// Serial dials hit shards round-robin, so striding preserves the
+	// Serial dials fill the shards in turn, so striding preserves the
 	// sequential numbering the single-reactor target used to produce.
 	for i := 0; i < n; i++ {
 		if !seen[proto.TenantID(i)] {
@@ -72,6 +73,44 @@ func TestShardedTenantIDsUnique(t *testing.T) {
 	if st := srv.Stats(); st.Connections != n {
 		t.Errorf("aggregated Connections = %d, want %d", st.Connections, n)
 	}
+}
+
+// TestShardPlacementLeastLoaded pins that a new session goes to the
+// shard with the fewest live sessions, not the next in turn: after the
+// session on shard 1 disconnects, the next dial lands on shard 1 again
+// and reuses its freed tenant ID, while shard 0's session stays put.
+func TestShardPlacementLeastLoaded(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", ServerConfig{
+		Mode: targetqp.ModeOPF, Device: newMemoryDevice(512, 1024), Shards: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sessions := func() [2]int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return [2]int{srv.shards[0].sessions, srv.shards[1].sessions}
+	}
+	dial := func() *Conn {
+		c, err := Dial(srv.Addr(), hostqp.Config{Window: 2, QueueDepth: 4, NSID: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	a, b := dial(), dial()
+	if a.Tenant() != 0 || b.Tenant() != 1 || sessions() != [2]int{1, 1} {
+		t.Fatalf("tenants %d,%d sessions %v, want 0,1 on [1 1]", a.Tenant(), b.Tenant(), sessions())
+	}
+	b.Close()
+	waitFor(t, "shard 1 released", func() bool { return sessions() == [2]int{1, 0} })
+	if c := dial(); c.Tenant() != 1 || sessions() != [2]int{1, 1} {
+		t.Fatalf("replacement got tenant %d, sessions %v; want tenant 1 on [1 1]", c.Tenant(), sessions())
+	}
+	a.Close()
+	waitFor(t, "shard 0 released", func() bool { return sessions() == [2]int{0, 1} })
 }
 
 // TestInflightPerConnOne pins the degenerate pipelining bound: with one
@@ -111,7 +150,7 @@ func TestInflightPerConnOne(t *testing.T) {
 }
 
 // TestShardedChaosVictimDiesMidWindow is the sharded concurrent-load
-// acceptance test: eight tenants spread round-robin over four shards —
+// acceptance test: eight tenants spread evenly over four shards —
 // LS and TC survivors on every shard — while one TC victim on a faultnet
 // socket is killed mid-window, twice. Survivors' synchronous TC writes
 // (each needs a full drain round trip on its own shard) must keep

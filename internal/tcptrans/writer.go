@@ -2,7 +2,6 @@ package tcptrans
 
 import (
 	"net"
-	"time"
 
 	"nvmeopf/internal/proto"
 )
@@ -19,13 +18,6 @@ const maxWriteBatch = 256 << 10
 // Below the threshold the copy is cheaper than an extra iovec entry.
 const zcPayloadThreshold = 1024
 
-// Coalescing defaults: when exactly one of DialConfig.CoalesceBytes /
-// CoalesceDelay is set, the other takes these values.
-const (
-	DefaultCoalesceBytes = 16 << 10
-	DefaultCoalesceDelay = 40 * time.Microsecond
-)
-
 // joinThreshold: a staged batch at or below this many wire bytes is
 // copied into one contiguous buffer and sent with a plain Write instead
 // of a vectored write. For a batch carrying a single small payload the
@@ -39,14 +31,6 @@ type writerConfig struct {
 	// batch caps how many wire bytes one drain may stage before flushing
 	// (<=0 means maxWriteBatch; 1 degenerates to one flush per PDU).
 	batch int
-	// coalesceBytes/coalesceDelay, both >0, open a submission-coalescing
-	// window: after draining everything already queued, the writer holds
-	// the staged batch up to coalesceDelay waiting for more PDUs, flushing
-	// early once coalesceBytes are staged. Zero values (the default)
-	// disable the window — the writer never waits, and the byte stream is
-	// identical to the uncoalesced writer's.
-	coalesceBytes int
-	coalesceDelay time.Duration
 	// release retires each staged PDU after its bytes are flushed (or
 	// dropped on error/teardown) — never earlier, because the payload
 	// slice is referenced by the write vector until the syscall lands.
@@ -188,8 +172,6 @@ func drainWriter(conn net.Conn, out <-chan proto.PDU, done, quit <-chan struct{}
 		}
 	}
 	b := &wbatch{hdr: make([]byte, 0, 64<<10)}
-	coalescing := cfg.coalesceBytes > 0 && cfg.coalesceDelay > 0
-	var coalesceTimer *time.Timer
 	for {
 		var p proto.PDU
 		select {
@@ -223,51 +205,6 @@ func drainWriter(conn net.Conn, out <-chan proto.PDU, done, quit <-chan struct{}
 				b.add(p)
 			default:
 				break drain
-			}
-		}
-		if coalescing && !closeAfter && b.bytes < cfg.batch && b.bytes < cfg.coalesceBytes {
-			// Aggregation window: the queue ran dry below the coalescing
-			// threshold, so hold the batch briefly — small submissions
-			// arriving within the window share one vectored flush instead
-			// of paying a syscall each.
-			if coalesceTimer == nil {
-				coalesceTimer = time.NewTimer(cfg.coalesceDelay)
-			} else {
-				coalesceTimer.Reset(cfg.coalesceDelay)
-			}
-			expired := false
-		wait:
-			for !closeAfter && b.bytes < cfg.batch && b.bytes < cfg.coalesceBytes {
-				select {
-				case p = <-out:
-					if p == nil {
-						closeAfter = true
-						break wait
-					}
-					b.add(p)
-				case <-coalesceTimer.C:
-					expired = true
-					break wait
-				case <-done:
-					// Teardown mid-window: the connection is gone, so the
-					// staged batch is dropped (released once), like every
-					// queued-but-unwritten PDU.
-					b.retire(cfg.release)
-					for {
-						select {
-						case p := <-out:
-							free(p)
-						default:
-							return
-						}
-					}
-				case <-quit:
-					b.retire(cfg.release)
-					return
-				}
-			}
-			if !expired && !coalesceTimer.Stop() {
-				<-coalesceTimer.C
 			}
 		}
 		if b.bytes > 0 {

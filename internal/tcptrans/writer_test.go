@@ -1,11 +1,11 @@
 package tcptrans
 
 // Unit tests for the vectored drainWriter: the byte stream must be
-// identical to concatenated proto.Marshal output under every knob
-// combination (the zero-copy and coalescing acceptance criterion), every
-// staged PDU must be released exactly once on every exit path (success,
-// write error, sentinel, teardown), and the coalescing window must merge
-// back-to-back submissions into a single flush.
+// identical to concatenated proto.Marshal output at every batch size and
+// arrival pattern (the zero-copy acceptance criterion), every staged PDU
+// must be released exactly once on every exit path (success, write
+// error, sentinel, teardown), and PDUs already queued must share a single
+// flush.
 
 import (
 	"bytes"
@@ -122,10 +122,10 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 	return c, r.c
 }
 
-// TestWriterWireIdentity pins the acceptance criterion: with coalescing
-// off (and on), at every batch size, over both a real TCP socket (writev)
-// and a non-TCP pipe (sequential fallback), the vectored writer emits a
-// byte stream identical to concatenating proto.Marshal for each PDU.
+// TestWriterWireIdentity pins the acceptance criterion: at every batch
+// size, over both a real TCP socket (writev) and a non-TCP pipe
+// (sequential fallback), the vectored writer emits a byte stream
+// identical to concatenating proto.Marshal for each PDU.
 func TestWriterWireIdentity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -135,8 +135,7 @@ func TestWriterWireIdentity(t *testing.T) {
 		{"default-tcp", writerConfig{}, true},
 		{"default-pipe", writerConfig{}, false},
 		{"batch1-tcp", writerConfig{batch: 1}, true},
-		{"coalesced-tcp", writerConfig{coalesceBytes: 64 << 10, coalesceDelay: 200 * time.Microsecond}, true},
-		{"coalesced-pipe", writerConfig{coalesceBytes: 64 << 10, coalesceDelay: 200 * time.Microsecond}, false},
+		{"batch1-pipe", writerConfig{batch: 1}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,17 +157,16 @@ func TestWriterWireIdentity(t *testing.T) {
 }
 
 // TestWriterWireIdentityStaggered feeds PDUs one at a time with gaps so
-// the coalescing window opens and closes repeatedly — the stream must
-// still be byte-identical.
+// the writer runs dry and flushes partial batches repeatedly — the stream
+// must still be byte-identical.
 func TestWriterWireIdentityStaggered(t *testing.T) {
 	pdus := writerTestPDUs()
 	want := marshalAll(pdus)
 	wc, rc := tcpPair(t)
-	cfg := writerConfig{coalesceBytes: 4 << 10, coalesceDelay: 100 * time.Microsecond}
-	got := runWriterCollect(t, wc, rc, cfg, pdus, func(out chan<- proto.PDU) {
+	got := runWriterCollect(t, wc, rc, writerConfig{}, pdus, func(out chan<- proto.PDU) {
 		for i, p := range pdus {
 			if i%2 == 1 {
-				time.Sleep(300 * time.Microsecond) // outlast the window
+				time.Sleep(300 * time.Microsecond) // let the writer run dry
 			}
 			out <- p
 		}
@@ -336,28 +334,24 @@ func (c *countWriteConn) Close() error {
 	return nil
 }
 
-// TestWriterCoalescingMergesFlushes: two small submissions arriving
-// within one coalescing window share a single flush. Small payloads stay
-// below zcPayloadThreshold, so the whole batch is one contiguous span and
-// one flush means exactly one Write call.
+// TestWriterCoalescingMergesFlushes: two small submissions already
+// queued when the writer wakes share a single flush (the greedy drain).
+// Small payloads stay below zcPayloadThreshold, so the whole batch is one
+// contiguous span and one flush means exactly one Write call.
 func TestWriterCoalescingMergesFlushes(t *testing.T) {
 	p1 := &proto.CapsuleCmd{Cmd: nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1}}
 	p2 := &proto.CapsuleCmd{Cmd: nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1}}
 	conn := &countWriteConn{closed: make(chan struct{})}
 	out := make(chan proto.PDU, 4)
+	out <- p1
+	out <- p2
+	out <- nil // flush, then close
 	done := make(chan struct{})
 	defer close(done)
-	go drainWriter(conn, out, done, make(chan struct{}), writerConfig{
-		coalesceBytes: 64 << 10,
-		coalesceDelay: 500 * time.Millisecond, // far longer than the gap below
-	})
-	out <- p1
-	time.Sleep(2 * time.Millisecond) // writer is now waiting in the window
-	out <- p2
-	out <- nil // closes the window and flushes
+	go drainWriter(conn, out, done, make(chan struct{}), writerConfig{})
 	<-conn.closed
 	if n := conn.writes.Load(); n != 1 {
-		t.Errorf("coalescing produced %d flushes, want 1", n)
+		t.Errorf("greedy drain produced %d flushes, want 1", n)
 	}
 	if want := int64(p1.WireSize() + p2.WireSize()); conn.bytes.Load() != want {
 		t.Errorf("flushed %d bytes, want %d", conn.bytes.Load(), want)
