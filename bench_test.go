@@ -16,7 +16,6 @@ import (
 	"nvmeopf/internal/experiments"
 	"nvmeopf/internal/nvme"
 	"nvmeopf/internal/proto"
-	"nvmeopf/internal/stats"
 	"nvmeopf/internal/targetqp"
 	"nvmeopf/internal/workload"
 )
@@ -192,15 +191,6 @@ func BenchmarkHostPMStampResponse(b *testing.B) {
 		if _, err := h.OnResponse(drainCID, true); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkHistogramRecord measures the latency histogram's O(1) record.
-func BenchmarkHistogramRecord(b *testing.B) {
-	var h stats.Histogram
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Record(int64(i%1_000_000 + 50_000))
 	}
 }
 

@@ -125,7 +125,7 @@ func main() {
 
 	report := func(kind string, get func(rankResult) *h5bench.Result) {
 		var bytes int64
-		var lat stats.Histogram
+		var lat telemetry.Hist
 		for _, rr := range results {
 			res := get(rr)
 			if res == nil {
@@ -138,7 +138,7 @@ func main() {
 		fmt.Printf("%s: %d ranks x %d particles: %s aggregate, op p50=%s p99=%s\n",
 			kind, *ranks, *particles,
 			stats.FormatBytesPerSec(float64(bytes)/elapsed),
-			stats.FormatNanos(lat.P50()), stats.FormatNanos(lat.P99()))
+			stats.FormatNanos(lat.Quantile(0.5)), stats.FormatNanos(lat.Quantile(0.99)))
 	}
 	report("write", func(rr rankResult) *h5bench.Result { return rr.write })
 	if *doRead {

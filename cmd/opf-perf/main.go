@@ -41,7 +41,7 @@ type tenant struct {
 	rng   *rand.Rand
 
 	mu   sync.Mutex
-	hist stats.Histogram
+	hist telemetry.Hist
 	ops  int64
 	errs int64
 }
@@ -288,7 +288,7 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 
-	var lsHist, tcHist, scHist stats.Histogram
+	var lsHist, tcHist, scHist telemetry.Hist
 	var lsOps, tcOps, scOps, errs int64
 	for _, t := range tenants {
 		t.mu.Lock()
@@ -311,19 +311,19 @@ func main() {
 		fmt.Printf("TC: %8.0f IOPS  %s  p50=%s p99=%s p99.99=%s\n",
 			float64(tcOps)/elapsed,
 			stats.FormatBytesPerSec(float64(tcOps)*4096/elapsed),
-			stats.FormatNanos(tcHist.P50()), stats.FormatNanos(tcHist.P99()), stats.FormatNanos(tcHist.P9999()))
+			stats.FormatNanos(tcHist.Quantile(0.5)), stats.FormatNanos(tcHist.Quantile(0.99)), stats.FormatNanos(tcHist.Quantile(0.9999)))
 	}
 	if lsOps > 0 {
 		fmt.Printf("LS: %8.0f IOPS  %s  p50=%s p99=%s p99.99=%s\n",
 			float64(lsOps)/elapsed,
 			stats.FormatBytesPerSec(float64(lsOps)*4096/elapsed),
-			stats.FormatNanos(lsHist.P50()), stats.FormatNanos(lsHist.P99()), stats.FormatNanos(lsHist.P9999()))
+			stats.FormatNanos(lsHist.Quantile(0.5)), stats.FormatNanos(lsHist.Quantile(0.99)), stats.FormatNanos(lsHist.Quantile(0.9999)))
 	}
 	if scOps > 0 {
 		fmt.Printf("SC: %8.0f IOPS  %s  p50=%s p99=%s p99.99=%s\n",
 			float64(scOps)/elapsed,
 			stats.FormatBytesPerSec(float64(scOps)*4096/elapsed),
-			stats.FormatNanos(scHist.P50()), stats.FormatNanos(scHist.P99()), stats.FormatNanos(scHist.P9999()))
+			stats.FormatNanos(scHist.Quantile(0.5)), stats.FormatNanos(scHist.Quantile(0.99)), stats.FormatNanos(scHist.Quantile(0.9999)))
 	}
 	if tel != nil {
 		fmt.Println()

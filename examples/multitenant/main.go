@@ -16,6 +16,7 @@ import (
 	"nvmeopf"
 	"nvmeopf/internal/bdev"
 	"nvmeopf/internal/stats"
+	"nvmeopf/internal/telemetry"
 )
 
 const (
@@ -25,7 +26,7 @@ const (
 	runFor    = 2 * time.Second
 )
 
-func run(mode nvmeopf.Mode) (lsHist *stats.Histogram, respPDUs, cmdPDUs int64, tel *nvmeopf.Telemetry) {
+func run(mode nvmeopf.Mode) (lsHist *telemetry.Hist, respPDUs, cmdPDUs int64, tel *nvmeopf.Telemetry) {
 	dev, err := bdev.NewMemory(4096, 1<<16)
 	if err != nil {
 		log.Fatal(err)
@@ -87,7 +88,7 @@ func run(mode nvmeopf.Mode) (lsHist *stats.Histogram, respPDUs, cmdPDUs int64, t
 
 	// The latency-sensitive tenant issues one read at a time and records
 	// its latency distribution.
-	var hist stats.Histogram
+	var hist telemetry.Hist
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -120,7 +121,7 @@ func main() {
 		hist, resp, cmd, tel := run(mode)
 		fmt.Printf("%-14s LS reads=%d p50=%s p99=%s max=%s | target: %d cmds -> %d completion PDUs\n",
 			mode.String()+":", hist.Count(),
-			stats.FormatNanos(hist.P50()), stats.FormatNanos(hist.P99()), stats.FormatNanos(hist.Max()),
+			stats.FormatNanos(hist.Quantile(0.5)), stats.FormatNanos(hist.Quantile(0.99)), stats.FormatNanos(hist.Max()),
 			cmd, resp)
 		finalTel = tel
 	}

@@ -383,7 +383,10 @@ func (c *Controller) decide(t proto.TenantID, st *tenantState) {
 	dGood, dBad := good-st.lastGood, bad-st.lastBad
 	samples := dGood + dBad
 	cur := c.sig.Snapshot()
-	p99 := intervalQuantile(cur, st.lastHist, 0.99)
+	p99 := int64(-1) // -1: no samples this interval
+	if d := cur.Sub(st.lastHist); d.Count > 0 {
+		p99 = d.Quantile(0.99)
+	}
 	fill := float64(st.fillSum) / float64(st.drains*st.window)
 	burn := -1.0
 	if samples > 0 {
@@ -521,27 +524,4 @@ func (c *Controller) apply(t proto.TenantID, w int) int {
 	}
 	c.act.SetTenantCap(t, capv)
 	return capv
-}
-
-// intervalQuantile computes a quantile over the samples recorded between
-// two snapshots of the same histogram (-1 when the interval is empty).
-func intervalQuantile(cur, prev telemetry.HistSnapshot, q float64) int64 {
-	if cur.Count <= prev.Count || len(cur.Counts) == 0 {
-		return -1
-	}
-	delta := telemetry.HistSnapshot{
-		Counts: make([]int64, len(cur.Counts)),
-		Count:  cur.Count - prev.Count,
-		Sum:    cur.Sum - prev.Sum,
-		// Max is cumulative; the interval max is unknowable from two
-		// snapshots, so the lifetime max conservatively caps the result.
-		Max: cur.Max,
-	}
-	for i := range cur.Counts {
-		delta.Counts[i] = cur.Counts[i]
-		if i < len(prev.Counts) {
-			delta.Counts[i] -= prev.Counts[i]
-		}
-	}
-	return delta.Quantile(q)
 }

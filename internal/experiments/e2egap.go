@@ -199,7 +199,7 @@ func RunE2EGap(cfg Config, label string, at *autotune.Config) (E2EGapResult, err
 	lr := lsRun.Result()
 	res.LSBurn = lr.SLOBurn(egLSBudgetPPM)
 	res.LSMeanNS = int64(lr.Latency.Mean())
-	res.LSP99NS = lr.Latency.P99()
+	res.LSP99NS = lr.Latency.Quantile(0.99)
 	res.LSSamples = lr.Latency.Count()
 
 	var tcBytes int64

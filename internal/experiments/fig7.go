@@ -52,7 +52,7 @@ func Fig7(cfg Config) (*Report, error) {
 	}
 	rep.Notes = append(rep.Notes,
 		"paper: read@10G peak +194.5% (1:4); read@25G +91.3%; read@100G +49.5%; write@100G +32.6% (0-4 TC); oPF tail latency flat across ratios",
-		"tail percentile degrades with LS sample count (see stats.Histogram.Tail)")
+		"tail percentile degrades with LS sample count (see telemetry.Hist.Tail)")
 	return rep, nil
 }
 

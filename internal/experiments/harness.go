@@ -238,7 +238,7 @@ func runWithBlocks(cfg Config, cs Case, blocks uint32) (CaseResult, error) {
 
 	res := CaseResult{Case: cs}
 	window := cfg.SimMillis * 1_000_000
-	var tcLat, lsLat stats.Histogram
+	var tcLat, lsLat telemetry.Hist
 	for _, r := range tcRunners {
 		res.TCBps += r.Result().Recorded.Bandwidth(window)
 		res.TCIOPS += r.Result().Recorded.IOPS(window)

@@ -244,7 +244,7 @@ func RunShiftMix(cfg Config, label string, window int, at *autotune.Config) (Shi
 	res.A = ShiftPhase{
 		LSBurn:    la.SLOBurn(shiftLSBudgetPPM),
 		LSMeanNS:  int64(la.Latency.Mean()),
-		LSP99NS:   la.Latency.P99(),
+		LSP99NS:   la.Latency.Quantile(0.99),
 		LSSamples: la.Latency.Count(),
 	}
 	tcABytes := tc0Mid.Bytes
@@ -254,7 +254,7 @@ func RunShiftMix(cfg Config, label string, window int, at *autotune.Config) (Shi
 	res.A.TCBps = float64(tcABytes) / phaseSec
 
 	// Phase B: the nine LS tenants merged, and the survivor's remainder.
-	var lat stats.Histogram
+	var lat telemetry.Hist
 	var good, bad int64
 	for _, r := range lsB {
 		rr := r.Result()
@@ -265,7 +265,7 @@ func RunShiftMix(cfg Config, label string, window int, at *autotune.Config) (Shi
 	res.B = ShiftPhase{
 		LSBurn:    -1,
 		LSMeanNS:  int64(lat.Mean()),
-		LSP99NS:   lat.P99(),
+		LSP99NS:   lat.Quantile(0.99),
 		LSSamples: lat.Count(),
 	}
 	if total := good + bad; total > 0 {

@@ -6,8 +6,8 @@ import (
 	"nvmeopf/internal/hostqp"
 	"nvmeopf/internal/proto"
 	"nvmeopf/internal/simcluster"
-	"nvmeopf/internal/stats"
 	"nvmeopf/internal/targetqp"
+	"nvmeopf/internal/telemetry"
 	"nvmeopf/internal/workload"
 )
 
@@ -37,8 +37,8 @@ func TailCDF(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		rep.Table.AddRow(designName(mode), fmt.Sprint(hist.Count()),
-			usec(hist.P50()), usec(hist.P90()), usec(hist.P99()),
-			usec(hist.P999()), usec(hist.P9999()), usec(hist.Max()))
+			usec(hist.Quantile(0.5)), usec(hist.Quantile(0.9)), usec(hist.Quantile(0.99)),
+			usec(hist.Quantile(0.999)), usec(hist.Quantile(0.9999)), usec(hist.Max()))
 	}
 	rep.Notes = append(rep.Notes,
 		"the whole baseline distribution shifts (queueing delay), not just the tail; oPF's stays tight across four decades of percentile")
@@ -46,7 +46,7 @@ func TailCDF(cfg Config) (*Report, error) {
 }
 
 // runLSHistogram runs the scenario and returns the LS latency histogram.
-func runLSHistogram(cfg Config, mode targetqp.Mode) (*stats.Histogram, error) {
+func runLSHistogram(cfg Config, mode targetqp.Mode) (*telemetry.Hist, error) {
 	prof := simcluster.ProfileCL()
 	cl := simcluster.New(simcluster.Options{Profile: prof, Mode: mode, Seed: cfg.Seed})
 	tn, err := cl.NewTargetNode("t", false)

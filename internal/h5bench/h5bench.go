@@ -14,7 +14,7 @@ import (
 	"fmt"
 
 	"nvmeopf/internal/hdf5"
-	"nvmeopf/internal/stats"
+	"nvmeopf/internal/telemetry"
 )
 
 // Mode selects the kernel.
@@ -89,7 +89,7 @@ type Result struct {
 	Errors  int64
 	StartNs int64
 	EndNs   int64
-	OpLat   stats.Histogram
+	OpLat   telemetry.Hist
 }
 
 // Bandwidth returns bytes/sec over the kernel's duration (including

@@ -1,3 +1,6 @@
+// Package stats provides throughput counters, number formatting and
+// table rendering used by the benchmark harness and the experiment
+// runners. Latency histograms live in internal/telemetry (Hist).
 package stats
 
 import (
@@ -135,4 +138,45 @@ func (t *Table) CSV() string {
 		writeRow(r)
 	}
 	return b.String()
+}
+
+// FormatNanos renders a nanosecond count in a human unit.
+func FormatNanos(ns int64) string {
+	switch {
+	case ns >= 1e9:
+		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
+	case ns >= 1e6:
+		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
+	case ns >= 1e3:
+		return fmt.Sprintf("%.2fus", float64(ns)/1e3)
+	default:
+		return fmt.Sprintf("%dns", ns)
+	}
+}
+
+// FormatBytesPerSec renders a byte rate.
+func FormatBytesPerSec(bps float64) string {
+	switch {
+	case bps >= 1e9:
+		return fmt.Sprintf("%.2fGB/s", bps/1e9)
+	case bps >= 1e6:
+		return fmt.Sprintf("%.2fMB/s", bps/1e6)
+	case bps >= 1e3:
+		return fmt.Sprintf("%.2fKB/s", bps/1e3)
+	default:
+		return fmt.Sprintf("%.0fB/s", bps)
+	}
+}
+
+// Bar renders a crude ASCII bar of width proportional to v/max, used by the
+// experiment CLI to sketch figures in the terminal.
+func Bar(v, max float64, width int) string {
+	if max <= 0 || v <= 0 || width <= 0 {
+		return ""
+	}
+	n := int(v / max * float64(width))
+	if n > width {
+		n = width
+	}
+	return strings.Repeat("#", n)
 }

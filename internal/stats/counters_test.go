@@ -70,3 +70,32 @@ func TestBar(t *testing.T) {
 		t.Errorf("degenerate bars should be empty")
 	}
 }
+
+func TestFormatNanos(t *testing.T) {
+	cases := map[int64]string{
+		5:             "5ns",
+		1500:          "1.50us",
+		2_500_000:     "2.50ms",
+		3_000_000_000: "3.00s",
+	}
+	for in, want := range cases {
+		if got := FormatNanos(in); got != want {
+			t.Errorf("FormatNanos(%d) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+func TestFormatBytesPerSec(t *testing.T) {
+	cases := map[float64]string{
+		10:     "10B/s",
+		1500:   "1.50KB/s",
+		2.5e6:  "2.50MB/s",
+		3.25e9: "3.25GB/s",
+		12.5e9: "12.50GB/s",
+	}
+	for in, want := range cases {
+		if got := FormatBytesPerSec(in); got != want {
+			t.Errorf("FormatBytesPerSec(%v) = %q, want %q", in, got, want)
+		}
+	}
+}

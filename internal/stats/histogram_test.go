@@ -1,15 +1,42 @@
-package stats
+package stats_test
+
+// The latency histogram behind workload results, the experiments and
+// opf-perf is telemetry.Hist. These tests pin the properties those
+// callers rely on through its exported API only.
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"nvmeopf/internal/telemetry"
 )
 
+// exactQuantile is the sample of rank ceil(q*n) in sorted order.
+func exactQuantile(samples []int64, q float64) int64 {
+	s := append([]int64(nil), samples...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	rank := int(math.Ceil(q*float64(len(s)))) - 1
+	return s[max(0, min(rank, len(s)-1))]
+}
+
+// bucketRep returns the value Quantile reports for v's bucket: its upper
+// edge. With samples {v, MaxInt64} the rank-1 sample is v, and the
+// MaxInt64 maximum never caps the edge.
+func bucketRep(v int64) int64 {
+	var h telemetry.Hist
+	h.Record(v)
+	h.Record(math.MaxInt64)
+	return h.Quantile(0.5)
+}
+
 func TestHistogramEmpty(t *testing.T) {
-	var h Histogram
+	var h telemetry.Hist
 	if h.Count() != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Fatalf("empty histogram not zeroed: %v", h.String())
+		t.Fatalf("empty histogram not zeroed: count=%d min=%d max=%d mean=%v",
+			h.Count(), h.Min(), h.Max(), h.Mean())
 	}
 	if h.Quantile(0.99) != 0 {
 		t.Fatalf("empty quantile = %d, want 0", h.Quantile(0.99))
@@ -17,7 +44,7 @@ func TestHistogramEmpty(t *testing.T) {
 }
 
 func TestHistogramSingle(t *testing.T) {
-	var h Histogram
+	var h telemetry.Hist
 	h.Record(12345)
 	if h.Count() != 1 {
 		t.Fatalf("count = %d", h.Count())
@@ -31,7 +58,7 @@ func TestHistogramSingle(t *testing.T) {
 }
 
 func TestHistogramNegativeClamped(t *testing.T) {
-	var h Histogram
+	var h telemetry.Hist
 	h.Record(-5)
 	if h.Min() != 0 || h.Max() != 0 {
 		t.Fatalf("negative sample not clamped: min=%d max=%d", h.Min(), h.Max())
@@ -39,7 +66,7 @@ func TestHistogramNegativeClamped(t *testing.T) {
 }
 
 func TestHistogramMinMaxSumMean(t *testing.T) {
-	var h Histogram
+	var h telemetry.Hist
 	vals := []int64{10, 20, 30, 40}
 	for _, v := range vals {
 		h.Record(v)
@@ -56,32 +83,51 @@ func TestHistogramMinMaxSumMean(t *testing.T) {
 }
 
 func TestBucketIndexMonotonic(t *testing.T) {
-	prev := -1
+	prev := int64(-1)
 	for v := int64(0); v < 1<<20; v += 37 {
-		i := bucketIndex(v)
-		if i < prev {
-			t.Fatalf("bucketIndex not monotonic at %d: %d < %d", v, i, prev)
+		r := bucketRep(v)
+		if r < prev {
+			t.Fatalf("bucket not monotonic at %d: edge %d < %d", v, r, prev)
 		}
-		prev = i
+		if r < v {
+			t.Fatalf("bucket edge %d below its sample %d", r, v)
+		}
+		prev = r
 	}
 }
 
 func TestBucketLowInverse(t *testing.T) {
-	// For every bucket, bucketIndex(bucketLow(i)) == i.
-	for i := 0; i < maxExp*subBuckets-subBuckets; i++ {
-		lo := bucketLow(i)
-		if got := bucketIndex(lo); got != i {
-			t.Fatalf("bucketIndex(bucketLow(%d)=%d) = %d", i, lo, got)
+	// Walk every bucket from 0: a bucket's lower edge and its upper edge
+	// both land in it, and the value after the upper edge opens the next.
+	lo, buckets := int64(0), 0
+	for {
+		up := bucketRep(lo)
+		if up < lo {
+			t.Fatalf("bucket of %d reports edge %d below it", lo, up)
 		}
+		if got := bucketRep(up); got != up {
+			t.Fatalf("upper edge %d maps to bucket with edge %d", up, got)
+		}
+		buckets++
+		if up == math.MaxInt64 {
+			break
+		}
+		if next := bucketRep(up + 1); next <= up {
+			t.Fatalf("value %d after edge %d did not open a new bucket (edge %d)", up+1, up, next)
+		}
+		lo = up + 1
+	}
+	if want := (64 - telemetry.HistSubBits) << telemetry.HistSubBits; buckets != want {
+		t.Fatalf("walked %d buckets, want %d", buckets, want)
 	}
 }
 
 // TestQuantileRelativeError checks the histogram quantile against the exact
 // quantile on random workload-like samples; the log bucketing bounds
-// relative error to ~1/64 plus one bucket.
+// relative error to one sub-bucket.
 func TestQuantileRelativeError(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var h Histogram
+	var h telemetry.Hist
 	samples := make([]int64, 0, 20000)
 	for i := 0; i < 20000; i++ {
 		// Mixture of a body (~100us) and a heavy tail (~10ms).
@@ -95,7 +141,7 @@ func TestQuantileRelativeError(t *testing.T) {
 		samples = append(samples, v)
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999, 0.9999} {
-		exact := ExactQuantile(samples, q)
+		exact := exactQuantile(samples, q)
 		got := h.Quantile(q)
 		relErr := float64(got-exact) / float64(exact)
 		if relErr < 0 {
@@ -108,7 +154,7 @@ func TestQuantileRelativeError(t *testing.T) {
 }
 
 func TestHistogramMerge(t *testing.T) {
-	var a, b, all Histogram
+	var a, b, all telemetry.Hist
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
 		v := rng.Int63n(1_000_000)
@@ -134,40 +180,23 @@ func TestHistogramMerge(t *testing.T) {
 }
 
 func TestHistogramMergeEmpty(t *testing.T) {
-	var a Histogram
+	var a telemetry.Hist
 	a.Record(5)
 	a.Merge(nil)
-	a.Merge(&Histogram{})
-	if a.Count() != 1 || a.Min() != 5 {
-		t.Fatalf("merge with empty perturbed state: %s", a.String())
+	a.Merge(&telemetry.Hist{})
+	if a.Count() != 1 || a.Min() != 5 || a.Max() != 5 {
+		t.Fatalf("merge with empty perturbed state: count=%d min=%d max=%d", a.Count(), a.Min(), a.Max())
 	}
-	var empty Histogram
-	var src Histogram
+	var empty, src telemetry.Hist
 	src.Record(9)
 	empty.Merge(&src)
 	if empty.Min() != 9 || empty.Max() != 9 || empty.Count() != 1 {
-		t.Fatalf("merge into empty wrong: %s", empty.String())
-	}
-}
-
-func TestRecordN(t *testing.T) {
-	var h, ref Histogram
-	h.RecordN(100, 5)
-	for i := 0; i < 5; i++ {
-		ref.Record(100)
-	}
-	if h.Count() != ref.Count() || h.Sum() != ref.Sum() || h.Min() != ref.Min() || h.Max() != ref.Max() {
-		t.Fatalf("RecordN mismatch: %s vs %s", h.String(), ref.String())
-	}
-	h.RecordN(50, 0)
-	h.RecordN(50, -3)
-	if h.Count() != 5 {
-		t.Fatalf("RecordN with n<=0 recorded something")
+		t.Fatalf("merge into empty wrong: count=%d min=%d max=%d", empty.Count(), empty.Min(), empty.Max())
 	}
 }
 
 func TestTailDegrades(t *testing.T) {
-	var h Histogram
+	var h telemetry.Hist
 	for i := 0; i < 50; i++ {
 		h.Record(int64(i))
 	}
@@ -177,13 +206,13 @@ func TestTailDegrades(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		h.Record(int64(i))
 	}
-	if h.Tail() != h.P999() {
+	if h.Tail() != h.Quantile(0.999) {
 		t.Errorf("1k sample Tail() should be p99.9")
 	}
 	for i := 0; i < 10000; i++ {
 		h.Record(int64(i))
 	}
-	if h.Tail() != h.P9999() {
+	if h.Tail() != h.Quantile(0.9999) {
 		t.Errorf("10k sample Tail() should be p99.99")
 	}
 }
@@ -195,7 +224,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		var h Histogram
+		var h telemetry.Hist
 		for _, r := range raw {
 			h.Record(int64(r % 10_000_000))
 		}
@@ -218,7 +247,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 // concatenation of their samples.
 func TestMergeEquivalenceProperty(t *testing.T) {
 	f := func(xs, ys []uint16) bool {
-		var a, b, all Histogram
+		var a, b, all telemetry.Hist
 		for _, x := range xs {
 			a.Record(int64(x))
 			all.Record(int64(x))
@@ -240,43 +269,5 @@ func TestMergeEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFormatNanos(t *testing.T) {
-	cases := map[int64]string{
-		5:             "5ns",
-		1500:          "1.50us",
-		2_500_000:     "2.50ms",
-		3_000_000_000: "3.00s",
-	}
-	for in, want := range cases {
-		if got := FormatNanos(in); got != want {
-			t.Errorf("FormatNanos(%d) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestFormatBytesPerSec(t *testing.T) {
-	cases := map[float64]string{
-		10:     "10B/s",
-		1500:   "1.50KB/s",
-		2.5e6:  "2.50MB/s",
-		3.25e9: "3.25GB/s",
-		12.5e9: "12.50GB/s",
-	}
-	for in, want := range cases {
-		if got := FormatBytesPerSec(in); got != want {
-			t.Errorf("FormatBytesPerSec(%v) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	var h Histogram
-	h.Record(10)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatal("reset did not clear histogram")
 	}
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"nvmeopf/internal/proto"
@@ -45,8 +46,7 @@ func (c Class) wirePriority() proto.Priority {
 // baseline).
 type E2EAccum struct {
 	hist    [numClasses]*Hist
-	prev    [numClasses][]int64
-	prevSum [numClasses]int64
+	prev    [numClasses]HistSnapshot
 	busy    atomic.Int64
 	retries atomic.Int64
 }
@@ -106,34 +106,19 @@ func (a *E2EAccum) FillUpdate(u *proto.TelemetryUpdate) bool {
 			continue
 		}
 		snap := h.Snapshot()
-		prev := a.prev[c]
-		cd := proto.TelemetryClassDelta{Class: c.wirePriority()}
-		top := -1
-		for i, n := range snap.Counts {
-			var p int64
-			if prev != nil {
-				p = prev[i]
-			}
-			if d := n - p; d > 0 {
-				cd.Buckets = append(cd.Buckets, proto.TelemetryBucket{
-					Index: uint16(i), Count: uint32(d),
-				})
-				top = i
-			}
-		}
-		if top < 0 {
+		d := snap.Sub(a.prev[c])
+		if d.Count == 0 {
 			continue
 		}
-		cd.Sum = uint64(snap.Sum - a.prevSum[c])
-		// The per-window maximum is bounded by the top occupied delta
-		// bucket (and never beyond the lifetime max).
-		mx := histBucketUpper(top)
-		if mx > snap.Max {
-			mx = snap.Max
+		cd := proto.TelemetryClassDelta{Class: c.wirePriority(), Sum: uint64(d.Sum), Max: uint64(d.Max)}
+		for i, n := range d.Counts {
+			if n > 0 {
+				cd.Buckets = append(cd.Buckets, proto.TelemetryBucket{
+					Index: uint16(i), Count: uint32(n),
+				})
+			}
 		}
-		cd.Max = uint64(mx)
-		a.prev[c] = snap.Counts
-		a.prevSum[c] = snap.Sum
+		a.prev[c] = snap
 		u.Classes = append(u.Classes, cd)
 		fresh = true
 	}
@@ -180,15 +165,12 @@ func (h *Hist) mergeDelta(cd *proto.TelemetryClassDelta) {
 		if int(b.Index) >= histBuckets {
 			continue
 		}
+		// The wire carries no minimum: the bucket's lower edge bounds it.
+		raise(&h.minInv, math.MaxInt64-histBucketLower(int(b.Index)))
 		h.counts[b.Index].Add(int64(b.Count))
 	}
 	h.sum.Add(int64(cd.Sum))
-	for {
-		m := h.max.Load()
-		if int64(cd.Max) <= m || h.max.CompareAndSwap(m, int64(cd.Max)) {
-			break
-		}
-	}
+	raise(&h.max, int64(cd.Max))
 }
 
 // MergeE2E merges one host's TelemetryUpdate into the tenant's end-to-end

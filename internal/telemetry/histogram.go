@@ -87,14 +87,38 @@ func histBucketUpper(idx int) int64 {
 	return int64(uint64(histSubBuckets+sub+1)<<shift) - 1
 }
 
-// Hist is a lock-free log-bucketed latency histogram. Record is safe for
-// concurrent use, allocation-free, and never saturates; readers take a
-// Snapshot and compute quantiles from the copy. A nil *Hist ignores
-// Record and reports zero everywhere.
+// histBucketLower returns the smallest value a bucket admits.
+func histBucketLower(idx int) int64 {
+	if idx == 0 {
+		return 0
+	}
+	return histBucketUpper(idx-1) + 1
+}
+
+// Hist is a lock-free log-bucketed latency histogram: the one histogram
+// behind the registry, the e2e wire deltas, autotune and every simulated
+// figure. Record is safe for concurrent use, allocation-free, and never
+// saturates; readers take a Snapshot and compute quantiles from the copy.
+// Count, Sum, Min and Max are exact for recorded samples (wire-merged
+// deltas carry no minimum; see mergeDelta). The zero value is ready to
+// use; a nil *Hist ignores Record and reports zero everywhere.
 type Hist struct {
 	counts [histBuckets]atomic.Int64
 	sum    atomic.Int64
 	max    atomic.Int64
+	// minInv holds MaxInt64 - min, so the zero value means "no sample
+	// yet" and tracking the minimum is the same raise-only CAS as max.
+	minInv atomic.Int64
+}
+
+// raise lifts a to at least v.
+func raise(a *atomic.Int64, v int64) {
+	for {
+		m := a.Load()
+		if v <= m || a.CompareAndSwap(m, v) {
+			return
+		}
+	}
 }
 
 // Record adds one sample (negative values clamp to 0).
@@ -105,17 +129,14 @@ func (h *Hist) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
+	// Extremes first: a reader that sees the count sees them too.
+	raise(&h.max, v)
+	raise(&h.minInv, math.MaxInt64-v)
 	h.counts[histBucketIndex(v)].Add(1)
 	h.sum.Add(v)
-	for {
-		m := h.max.Load()
-		if v <= m || h.max.CompareAndSwap(m, v) {
-			return
-		}
-	}
 }
 
-// Merge adds o's counts into h (cold path; tests and aggregation).
+// Merge adds o's samples into h (cold path; aggregation).
 func (h *Hist) Merge(o *Hist) {
 	if h == nil || o == nil {
 		return
@@ -126,12 +147,8 @@ func (h *Hist) Merge(o *Hist) {
 		}
 	}
 	h.sum.Add(o.sum.Load())
-	for {
-		m, om := h.max.Load(), o.max.Load()
-		if om <= m || h.max.CompareAndSwap(m, om) {
-			return
-		}
-	}
+	raise(&h.max, o.max.Load())
+	raise(&h.minInv, o.minInv.Load())
 }
 
 // Snapshot copies the histogram for consistent read-side computation.
@@ -163,12 +180,63 @@ func (h *Hist) Count() int64 {
 	return n
 }
 
+// Sum returns the exact sum of recorded samples.
+func (h *Hist) Sum() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum.Load()
+}
+
+// Min returns the smallest recorded sample (0 if empty).
+func (h *Hist) Min() int64 {
+	if h.Count() == 0 {
+		return 0
+	}
+	return math.MaxInt64 - h.minInv.Load()
+}
+
+// Max returns the largest recorded sample (0 if empty).
+func (h *Hist) Max() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.max.Load()
+}
+
+// Mean returns the arithmetic mean of recorded samples (0 if empty).
+func (h *Hist) Mean() float64 {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	return float64(h.Sum()) / float64(n)
+}
+
 // Quantile is a convenience over Snapshot().Quantile for single queries.
 func (h *Hist) Quantile(q float64) int64 {
 	if h == nil {
 		return 0
 	}
 	return h.Snapshot().Quantile(q)
+}
+
+// Tail returns the 99.99th percentile when at least 10^4 samples make it
+// meaningful, otherwise the highest percentile the sample count supports
+// (p99.9, then p99, then the max). The paper reports the 99.99% tail; short
+// simulations of QD=1 LS tenants may not accumulate 10^4 samples.
+func (h *Hist) Tail() int64 {
+	s := h.Snapshot()
+	switch {
+	case s.Count >= 10000:
+		return s.Quantile(0.9999)
+	case s.Count >= 1000:
+		return s.Quantile(0.999)
+	case s.Count >= 100:
+		return s.Quantile(0.99)
+	default:
+		return s.Max
+	}
 }
 
 // HistSnapshot is a point-in-time copy of a Hist.
@@ -211,6 +279,33 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 		}
 	}
 	return s.Max
+}
+
+// Sub returns the samples recorded between prev and s, two snapshots of
+// the same histogram (a zero prev subtracts nothing). Counts, Count and
+// Sum are exact. The interval maximum is not recoverable from two
+// snapshots, so Max is the top occupied delta bucket's upper bound,
+// capped at the lifetime maximum.
+func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
+	d := HistSnapshot{
+		Counts: make([]int64, len(s.Counts)),
+		Count:  s.Count - prev.Count,
+		Sum:    s.Sum - prev.Sum,
+	}
+	top := -1
+	for i, n := range s.Counts {
+		if i < len(prev.Counts) {
+			n -= prev.Counts[i]
+		}
+		d.Counts[i] = n
+		if n > 0 {
+			top = i
+		}
+	}
+	if top >= 0 {
+		d.Max = min(histBucketUpper(top), s.Max)
+	}
+	return d
 }
 
 // CumulativeLE returns how many samples are <= bound (the Prometheus

@@ -14,6 +14,7 @@ import (
 	"nvmeopf/internal/nvme"
 	"nvmeopf/internal/simnet"
 	"nvmeopf/internal/stats"
+	"nvmeopf/internal/telemetry"
 )
 
 // Mix selects the operation mix.
@@ -98,8 +99,8 @@ type Spec struct {
 
 // Result accumulates a runner's measurements.
 type Result struct {
-	Recorded  stats.Counter   // ops/bytes completed inside the window
-	Latency   stats.Histogram // per-request latency, recorded window only
+	Recorded  stats.Counter  // ops/bytes completed inside the window
+	Latency   telemetry.Hist // per-request latency, recorded window only
 	Submitted int64
 	Completed int64
 	Errors    int64
