@@ -8,6 +8,7 @@ package core
 // sum(pending) == pendingTotal invariant.
 
 import (
+	"fmt"
 	"testing"
 
 	"nvmeopf/internal/nvme"
@@ -215,6 +216,58 @@ func TestScavengerDrainsInChunks(t *testing.T) {
 	}
 	if st := pm.Stats(); st.ScavDrains != 2 || st.ScavAgedDrains != 2 {
 		t.Fatalf("ScavDrains=%d ScavAgedDrains=%d, want 2/2", st.ScavDrains, st.ScavAgedDrains)
+	}
+}
+
+// TestScavengerReleaseOrder pins the deterministic release order across
+// queues: oldest window first, tenant ID breaking ties.
+func TestScavengerReleaseOrder(t *testing.T) {
+	now := new(int64)
+	pm := NewTargetPM(TargetPMConfig{
+		Isolated:         true,
+		Clock:            func() int64 { return *now },
+		ScavengerAgingNS: 100,
+	})
+	pm.Admit(1, proto.PrioLatencySensitive) // only aged windows release
+	for _, p := range []struct {
+		at     int64
+		tenant proto.TenantID
+	}{{30, 9}, {10, 8}, {10, 4}, {20, 2}} {
+		*now = p.at
+		pm.OnCommand(p.tenant, nvme.CID(p.tenant), proto.PrioScavenger)
+	}
+	got := pm.PollScavenger(1000)
+	var order []proto.TenantID
+	for _, b := range got {
+		order = append(order, b[0].Tenant)
+	}
+	if want := []proto.TenantID{4, 8, 2, 9}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("release order = %v, want %v", order, want)
+	}
+}
+
+// TestPollScavengerIneligibleAllocs: PollScavenger runs after every
+// command and completion, so a poll that finds parked but ineligible
+// queues (foreground busy, nothing aged) must not allocate.
+func TestPollScavengerIneligibleAllocs(t *testing.T) {
+	now := new(int64)
+	for _, cfg := range []TargetPMConfig{
+		{Isolated: true},
+		{Isolated: true, Clock: func() int64 { return *now }, ScavengerAgingNS: 1 << 40},
+	} {
+		pm := NewTargetPM(cfg)
+		pm.Admit(1, proto.PrioLatencySensitive) // foreground busy
+		for tenant := proto.TenantID(2); tenant < 6; tenant++ {
+			pm.OnCommand(tenant, 10, proto.PrioScavenger)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if pm.PollScavenger(*now) != nil {
+				t.Fatal("ineligible queue released")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("aging=%d: PollScavenger allocated %.1f times per ineligible poll, want 0", cfg.ScavengerAgingNS, allocs)
+		}
 	}
 }
 

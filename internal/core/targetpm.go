@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nvmeopf/internal/nvme"
 	"nvmeopf/internal/proto"
@@ -210,6 +211,13 @@ func (q *pendingQueue) popN(n int, now int64) []TaggedCID {
 	return out
 }
 
+// scavRef names one parked scavenger queue in PollScavenger's release
+// order.
+type scavRef struct {
+	t proto.TenantID
+	q *pendingQueue
+}
+
 // TargetPM is the target-side priority manager: it decides execution order
 // (computation order) and completion-notification policy for every tenant
 // connected to this target (§III-A Goals 1–2).
@@ -228,6 +236,8 @@ type TargetPM struct {
 	// scavenger drain can never flush foreign requests and its coalesced
 	// response stays safely ordered against the owner's own stream.
 	scavQueues map[proto.TenantID]*pendingQueue
+	// scavOrder is PollScavenger's reused release-order scratch.
+	scavOrder []scavRef
 	// inflight holds each tenant's executing batches in window order.
 	// Coalesced responses are released strictly in this order: a later
 	// window that the out-of-order device finishes first must not be
@@ -691,31 +701,37 @@ func (pm *TargetPM) PollScavenger(now int64) [][]TaggedCID {
 	// Deterministic release order: oldest queue first, tenant ID as the
 	// tie-break. Map iteration order would vary run to run and leak into
 	// the device's jitter stream, breaking same-seed reproducibility.
-	order := make([]proto.TenantID, 0, len(pm.scavQueues))
+	// Only queues eligible now are ordered: aged out, or any parked queue
+	// while the foreground is idle and no earlier chunk is in service.
+	// Most polls find none and return before sorting or allocating.
+	foregroundIdle := pm.lsPending == 0 && pm.tcParked == 0
+	order := pm.scavOrder[:0]
 	for t, q := range pm.scavQueues {
-		if q.depth() > 0 {
-			order = append(order, t)
+		if q.depth() > 0 && (pm.scavAged(q, now) || foregroundIdle && pm.scavInFlight == 0) {
+			order = append(order, scavRef{t, q})
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		qi, qj := pm.scavQueues[order[i]], pm.scavQueues[order[j]]
-		if qi.firstAt != qj.firstAt {
-			return qi.firstAt < qj.firstAt
+	if len(order) == 0 {
+		return nil
+	}
+	slices.SortFunc(order, func(a, b scavRef) int {
+		if a.q.firstAt != b.q.firstAt {
+			return cmp.Compare(a.q.firstAt, b.q.firstAt)
 		}
-		return order[i] < order[j]
+		return cmp.Compare(a.t, b.t)
 	})
+	pm.scavOrder = order
 	var out [][]TaggedCID
-	for _, t := range order {
-		q := pm.scavQueues[t]
-		aged := pm.cfg.ScavengerAgingNS > 0 && pm.cfg.Clock != nil &&
-			now-q.firstAt >= pm.cfg.ScavengerAgingNS
+	for _, r := range order {
+		t, q := r.t, r.q
+		aged := pm.scavAged(q, now)
 		// The idle path additionally waits for the previous chunk's device
-		// work to finish (scavInFlight, charged by the beginBatch below),
-		// so repeated polls during one foreground gap cannot stack chunks
-		// into the device — at most one chunk is ever in service, and an
-		// LS arrival always finds free device capacity. The aging path
-		// skips that gate: the starvation bound outranks it.
-		foregroundIdle := pm.lsPending == 0 && pm.tcParked == 0
+		// work to finish (scavInFlight, charged by the beginBatch below,
+		// hence re-checked per queue), so repeated polls during one
+		// foreground gap cannot stack chunks into the device — at most one
+		// chunk is ever in service, and an LS arrival always finds free
+		// device capacity. The aging path skips that gate: the starvation
+		// bound outranks it.
 		if !aged && !(foregroundIdle && pm.scavInFlight == 0) {
 			continue
 		}
@@ -743,7 +759,15 @@ func (pm *TargetPM) PollScavenger(now int64) [][]TaggedCID {
 		}
 		out = append(out, batch)
 	}
+	clear(order) // the scratch must not keep queues of departed tenants alive
 	return out
+}
+
+// scavAged reports whether q's oldest request has waited out the
+// scavenger aging bound.
+func (pm *TargetPM) scavAged(q *pendingQueue, now int64) bool {
+	return pm.cfg.ScavengerAgingNS > 0 && pm.cfg.Clock != nil &&
+		now-q.firstAt >= pm.cfg.ScavengerAgingNS
 }
 
 // beginBatch registers an executing window so completions can be counted.

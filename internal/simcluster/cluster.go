@@ -32,6 +32,7 @@ type Cluster struct {
 	hostRec   *telemetry.Recorder
 	targetRec *telemetry.Recorder
 	errs      []error
+	free      []*delivery // recycled PDU delivery records
 }
 
 // Options configures cluster-wide behaviour.
@@ -201,6 +202,23 @@ func (c *Cluster) NewTargetNode(name string, backed bool) (*TargetNode, error) {
 // charging the target poller's submission cost.
 type ssdBackend struct {
 	node *TargetNode
+	free []*submission // recycled submission records
+}
+
+// submission is one command waiting out the poller's submission cost
+// before it reaches the SSD; run is bound to the record once.
+type submission struct {
+	b    *ssdBackend
+	req  ssdsim.Request
+	high bool
+	run  func()
+}
+
+func (s *submission) submit() {
+	b, req, high := s.b, s.req, s.high
+	s.req = ssdsim.Request{}
+	b.free = append(b.free, s)
+	b.node.SSD.Submit(req, high)
 }
 
 // Namespace implements targetqp.Backend.
@@ -208,10 +226,16 @@ func (b *ssdBackend) Namespace() nvme.Namespace { return b.node.SSD.Namespace() 
 
 // Submit implements targetqp.Backend.
 func (b *ssdBackend) Submit(cmd nvme.Command, data []byte, highPrio bool, done func(nvme.Completion, []byte)) {
-	node := b.node
-	node.CPU.Exec(node.CPU.SubmitCost(), func() {
-		node.SSD.Submit(ssdsim.Request{Cmd: cmd, Data: data, Done: done}, highPrio)
-	})
+	var s *submission
+	if n := len(b.free); n > 0 {
+		s = b.free[n-1]
+		b.free = b.free[:n-1]
+	} else {
+		s = &submission{b: b}
+		s.run = s.submit
+	}
+	s.req, s.high = ssdsim.Request{Cmd: cmd, Data: data, Done: done}, highPrio
+	b.node.CPU.Exec(b.node.CPU.SubmitCost(), s.run)
 }
 
 // InitiatorNode is one client machine: a poller CPU and a NIC-link to its
@@ -264,6 +288,90 @@ func standalonePDU(p proto.PDU) bool {
 	return isResp
 }
 
+// delivery carries one PDU across the modelled fabric: sender poller tx,
+// the two NIC/link hops, receiver poller rx, then the receiving session's
+// HandlePDU. The record walks the hops through the same Exec/Send calls,
+// in the same order, as one closure per hop would; step is bound once per
+// record and the record is recycled, so a steady-state PDU allocates
+// nothing here.
+type delivery struct {
+	c          *Cluster
+	ini        *Initiator
+	pdu        proto.PDU
+	size       int
+	payload    int
+	standalone bool
+	toHost     bool // target -> host; otherwise host -> target
+	hop        int
+	step       func() // d.advance, bound once
+}
+
+// send starts p on its way: toHost from the target session to ini's host
+// session, otherwise from ini's host session to the target.
+func (c *Cluster) send(ini *Initiator, p proto.PDU, toHost bool) {
+	var d *delivery
+	if n := len(c.free); n > 0 {
+		d = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		d = &delivery{c: c}
+		d.step = d.advance
+	}
+	d.ini, d.pdu, d.toHost, d.hop = ini, p, toHost, 0
+	d.size, d.payload, d.standalone = p.WireSize(), payloadBytes(p), standalonePDU(p)
+	d.advance()
+}
+
+// advance performs the next hop, then delivers once the receiving
+// poller has taken the PDU in.
+func (d *delivery) advance() {
+	host, tn := d.ini.Node, d.ini.Node.target
+	d.hop++
+	if d.toHost {
+		// Target -> host: poller tx (a standalone completion pays the
+		// small-send surcharge), target NIC, host link, host rx.
+		switch d.hop {
+		case 1:
+			tn.CPU.Exec(tn.CPU.TxCost(d.payload, d.standalone), d.step)
+		case 2:
+			tn.NIC.Send(simnet.DirBtoA, d.size, d.step)
+		case 3:
+			host.Link.Send(simnet.DirBtoA, d.size, d.step)
+		case 4:
+			host.CPU.Exec(host.CPU.RxCost(d.payload, d.standalone), d.step)
+		default:
+			d.deliver()
+		}
+		return
+	}
+	// Host -> target: poller tx, host link, target NIC, target rx.
+	switch d.hop {
+	case 1:
+		host.CPU.Exec(host.CPU.TxCost(d.payload, false), d.step)
+	case 2:
+		host.Link.Send(simnet.DirAtoB, d.size, d.step)
+	case 3:
+		tn.NIC.Send(simnet.DirAtoB, d.size, d.step)
+	case 4:
+		tn.CPU.Exec(tn.CPU.RxCost(d.payload, d.standalone), d.step)
+	default:
+		d.deliver()
+	}
+}
+
+// deliver returns the record to the free list, then hands the PDU to the
+// receiving session, which may send (and so reuse the record) at once.
+func (d *delivery) deliver() {
+	c, ini, p, toHost := d.c, d.ini, d.pdu, d.toHost
+	d.ini, d.pdu = nil, nil
+	c.free = append(c.free, d)
+	if toHost {
+		c.fail(ini.Session.HandlePDU(p))
+	} else {
+		c.fail(ini.tsess.HandlePDU(p))
+	}
+}
+
 // Connect creates one initiator of the given host configuration on this
 // node and starts its handshake. Run the engine (even one event batch)
 // before submitting I/O; Session.OnConnect sequences that naturally.
@@ -274,41 +382,13 @@ func (n *InitiatorNode) Connect(cfg hostqp.Config) (*Initiator, error) {
 	}
 	ini := &Initiator{Node: n}
 
-	tsess, err := n.target.Target.NewSession(func(p proto.PDU) {
-		// Target -> host: poller tx, target NIC, host link, host rx.
-		size := p.WireSize()
-		payload := payloadBytes(p)
-		tn := n.target
-		tn.CPU.Exec(tn.CPU.TxCost(payload, standalonePDU(p)), func() {
-			tn.NIC.Send(simnet.DirBtoA, size, func() {
-				n.Link.Send(simnet.DirBtoA, size, func() {
-					n.CPU.Exec(n.CPU.RxCost(payload, standalonePDU(p)), func() {
-						c.fail(ini.Session.HandlePDU(p))
-					})
-				})
-			})
-		})
-	})
+	tsess, err := n.target.Target.NewSession(func(p proto.PDU) { c.send(ini, p, true) })
 	if err != nil {
 		return nil, err
 	}
 	ini.tsess = tsess
 
-	hostSend := func(p proto.PDU) {
-		// Host -> target: poller tx, host link, target NIC, target rx.
-		size := p.WireSize()
-		payload := payloadBytes(p)
-		tn := n.target
-		n.CPU.Exec(n.CPU.TxCost(payload, false), func() {
-			n.Link.Send(simnet.DirAtoB, size, func() {
-				tn.NIC.Send(simnet.DirAtoB, size, func() {
-					tn.CPU.Exec(tn.CPU.RxCost(payload, standalonePDU(p)), func() {
-						c.fail(tsess.HandlePDU(p))
-					})
-				})
-			})
-		})
-	}
+	hostSend := func(p proto.PDU) { c.send(ini, p, false) }
 	sess, err := hostqp.New(cfg, hostSend, c.Eng.Now)
 	if err != nil {
 		return nil, err

@@ -9,7 +9,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -23,23 +22,14 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the heap order: earliest instant first, scheduling order
+// among events of the same instant. seq is unique, so the order is total
+// and the firing sequence does not depend on the heap's layout.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Engine is a discrete-event scheduler. The zero value is ready to use.
@@ -48,7 +38,7 @@ func (h *eventHeap) Pop() interface{} {
 type Engine struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
+	events  []event // binary min-heap ordered by event.before
 	stopped bool
 }
 
@@ -73,7 +63,55 @@ func (e *Engine) At(t Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
+	e.push(event{at: t, seq: e.seq, fn: fn})
+}
+
+// push adds ev to the heap, sifting it up from the end.
+func (e *Engine) push(ev event) {
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	e.events = h
+}
+
+// pop removes and returns the earliest event. The vacated slot past the
+// new length is cleared, so a fired callback (and every PDU or request it
+// captured) is not kept reachable from the backing array.
+func (e *Engine) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(&h[c]) {
+				c = r
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	e.events = h
+	return top
 }
 
 // Run processes events until none remain or Stop is called. It returns the
@@ -81,7 +119,7 @@ func (e *Engine) At(t Time, fn func()) {
 func (e *Engine) Run() Time {
 	e.stopped = false
 	for len(e.events) > 0 && !e.stopped {
-		ev := heap.Pop(&e.events).(event)
+		ev := e.pop()
 		e.now = ev.at
 		ev.fn()
 	}
@@ -97,7 +135,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if e.events[0].at > deadline {
 			break
 		}
-		ev := heap.Pop(&e.events).(event)
+		ev := e.pop()
 		e.now = ev.at
 		ev.fn()
 	}

@@ -1,6 +1,10 @@
 package simnet
 
 import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -120,29 +124,166 @@ func TestNilEventPanics(t *testing.T) {
 	NewEngine().Schedule(1, nil)
 }
 
-// Property: for any set of delays, events fire in nondecreasing time order
-// and the engine visits every event exactly once.
-func TestEngineOrderProperty(t *testing.T) {
-	f := func(delays []uint16) bool {
-		e := NewEngine()
-		var seen []Time
-		for _, d := range delays {
-			d := Time(d)
-			e.At(d, func() { seen = append(seen, d) })
+// scheduler is the surface TestEngineOrderProperty drives identically on
+// the engine and on its reference model.
+type scheduler interface {
+	At(t Time, fn func())
+	Now() Time
+	Run() Time
+	RunUntil(deadline Time) Time
+}
+
+// refEngine is the reference model of Engine: pending events in a plain
+// slice, the next one found by sorting on (at, seq).
+type refEngine struct {
+	now     Time
+	seq     uint64
+	pending []event
+}
+
+func (r *refEngine) Now() Time { return r.now }
+
+func (r *refEngine) At(t Time, fn func()) {
+	if t < r.now {
+		t = r.now
+	}
+	r.seq++
+	r.pending = append(r.pending, event{at: t, seq: r.seq, fn: fn})
+}
+
+// step fires the earliest pending event if it is due by deadline.
+func (r *refEngine) step(deadline Time) bool {
+	sort.Slice(r.pending, func(i, j int) bool {
+		a, b := r.pending[i], r.pending[j]
+		if a.at != b.at {
+			return a.at < b.at
 		}
-		e.Run()
-		if len(seen) != len(delays) {
-			return false
-		}
-		for i := 1; i < len(seen); i++ {
-			if seen[i] < seen[i-1] {
-				return false
+		return a.seq < b.seq
+	})
+	if len(r.pending) == 0 || r.pending[0].at > deadline {
+		return false
+	}
+	ev := r.pending[0]
+	r.pending = r.pending[1:]
+	r.now = ev.at
+	ev.fn()
+	return true
+}
+
+func (r *refEngine) RunUntil(deadline Time) Time {
+	for r.step(deadline) {
+	}
+	if r.now < deadline {
+		r.now = deadline
+	}
+	return r.now
+}
+
+func (r *refEngine) Run() Time {
+	for r.step(math.MaxInt64) {
+	}
+	return r.now
+}
+
+// orderScript drives s through a seeded random interleaving of At, Run
+// and RunUntil. Events schedule nested events (in the past, at the same
+// instant, or later) from inside their callbacks. It returns the
+// sequence of (event id, firing time) pairs.
+func orderScript(s scheduler, seed int64) [][2]int64 {
+	rng := rand.New(rand.NewSource(seed))
+	var fired [][2]int64
+	next := int64(0)
+	var schedule func(at Time, depth int)
+	schedule = func(at Time, depth int) {
+		id := next
+		next++
+		// Decide the children now, so both schedulers see the same
+		// program whatever order they fire it in.
+		kids := make([]Time, 0, 2)
+		if depth < 3 {
+			for k := rng.Intn(3); k > 0; k-- {
+				kids = append(kids, Time(rng.Intn(41)-10)) // past, now or later
 			}
 		}
-		return true
+		s.At(at, func() {
+			fired = append(fired, [2]int64{id, s.Now()})
+			for _, d := range kids {
+				schedule(s.Now()+d, depth+1)
+			}
+		})
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	for step := rng.Intn(40); step >= 0; step-- {
+		switch op := rng.Intn(10); {
+		case op < 6:
+			schedule(s.Now()+Time(rng.Intn(60)-10), 0)
+		case op < 7:
+			for k := rng.Intn(4) + 1; k > 0; k-- {
+				schedule(s.Now()+5, 0) // same-instant burst
+			}
+		case op < 9:
+			s.RunUntil(s.Now() + Time(rng.Intn(30)))
+		default:
+			s.Run()
+		}
+	}
+	s.Run()
+	return fired
+}
+
+// Property: under any interleaving of At/Run/RunUntil with nested,
+// same-instant and past-clamped scheduling, the engine fires exactly the
+// sequence a reference sort by (at, seq) produces, at the same instants.
+func TestEngineOrderProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		return slices.Equal(orderScript(NewEngine(), seed), orderScript(&refEngine{}, seed))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Popped heap slots must not keep fired callbacks (and whatever PDUs or
+// requests they captured) reachable from the backing array.
+func TestEngineClearsPoppedSlots(t *testing.T) {
+	e := NewEngine()
+	for i := 0; i < 64; i++ {
+		e.At(Time(i%7), func() {})
+	}
+	e.RunUntil(3)
+	if e.Pending() == 0 || e.Pending() == 64 {
+		t.Fatalf("pending = %d, want a partial run", e.Pending())
+	}
+	check := func() {
+		t.Helper()
+		for i, ev := range e.events[len(e.events):cap(e.events)] {
+			if ev.fn != nil {
+				t.Fatalf("slot len+%d past the heap still holds a callback", i)
+			}
+		}
+	}
+	check()
+	e.Run()
+	check()
+}
+
+// Once the heap has grown, scheduling and firing a pre-bound callback
+// allocates nothing.
+func TestEngineAllocsPerEvent(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	fn := func() { n++ }
+	for i := 0; i < 64; i++ {
+		e.At(Time(i), fn)
+	}
+	e.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < 16; i++ {
+			e.At(e.Now()+Time(16-i), fn)
+		}
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("At+Run allocated %.1f times per 16 events, want 0", allocs)
 	}
 }
 

@@ -84,7 +84,26 @@ type SSD struct {
 	high   []Request
 	normal []Request
 
+	// free recycles in-service records, so a steady-state dispatch
+	// schedules its completion without allocating.
+	free []*inService
+
 	stats Stats
+}
+
+// inService is one request occupying a channel until its completion
+// event; finish is bound to the record once.
+type inService struct {
+	s      *SSD
+	req    Request
+	finish func()
+}
+
+func (r *inService) fire() {
+	s, req := r.s, r.req
+	r.req = Request{}
+	s.free = append(s.free, r)
+	s.complete(req)
 }
 
 // zeroBuf backs read completions of unbacked (timing-only) devices: the
@@ -186,18 +205,31 @@ func (s *SSD) dispatch() {
 			return // all channels busy; completion events re-dispatch
 		}
 		var req Request
+		// Zero the head before reslicing: the prefix stays in the backing
+		// array until the next reallocation, and must not keep a
+		// dispatched request's Data and Done reachable.
 		if len(s.high) > 0 {
 			req = s.high[0]
+			s.high[0] = Request{}
 			s.high = s.high[1:]
 		} else {
 			req = s.normal[0]
+			s.normal[0] = Request{}
 			s.normal = s.normal[1:]
 		}
 		svc := s.serviceTime(req.Cmd)
 		s.channelFree[ch] = now + svc
 		s.stats.BusyTime += svc
-		r := req
-		s.eng.At(now+svc, func() { s.complete(r) })
+		var r *inService
+		if n := len(s.free); n > 0 {
+			r = s.free[n-1]
+			s.free = s.free[:n-1]
+		} else {
+			r = &inService{s: s}
+			r.finish = r.fire
+		}
+		r.req = req
+		s.eng.At(now+svc, r.finish)
 	}
 }
 

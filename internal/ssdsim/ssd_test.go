@@ -346,3 +346,49 @@ func TestDefaultConfigSaturation(t *testing.T) {
 		t.Fatalf("default device read IOPS = %.0f, want ~308K", iops)
 	}
 }
+
+// Dispatch reslices its admission queues from the front; the vacated head
+// slots must be zeroed so a dispatched request's Data and Done are not
+// kept reachable from the backing array until the next reallocation.
+func TestDispatchZeroesVacatedQueueSlots(t *testing.T) {
+	eng := simnet.NewEngine()
+	cfg := testCfg(false)
+	cfg.Channels = 1
+	s, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := func(nvme.Completion, []byte) {}
+	read := Request{Cmd: nvme.Command{Opcode: nvme.OpRead, NSID: 1, NLB: 0}, Data: make([]byte, 8), Done: done}
+	// The first request takes the only channel; the rest queue.
+	for i := 0; i < 9; i++ {
+		s.Submit(read, i%3 == 0)
+	}
+	high, normal := s.high, s.normal
+	if len(high) != 2 || len(normal) != 6 {
+		t.Fatalf("queued %d high / %d normal, want 2 / 6", len(high), len(normal))
+	}
+	eng.RunUntil(cfg.ReadBase + cfg.ReadJitter + 1) // at least one more dispatch
+	for _, q := range []struct {
+		name     string
+		all, now []Request
+	}{{"high", high, s.high}, {"normal", normal, s.normal}} {
+		vacated := len(q.all) - len(q.now)
+		for i, r := range q.all[:vacated] {
+			if r.Data != nil || r.Done != nil {
+				t.Errorf("%s slot %d still holds a dispatched request", q.name, i)
+			}
+		}
+	}
+	if len(high) == len(s.high) {
+		t.Fatal("no high-priority request was dispatched")
+	}
+	eng.Run()
+	for _, q := range [][]Request{high, normal} {
+		for i, r := range q {
+			if r.Data != nil || r.Done != nil {
+				t.Errorf("slot %d still holds a dispatched request after the run", i)
+			}
+		}
+	}
+}
