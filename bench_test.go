@@ -164,12 +164,13 @@ func BenchmarkPDUDecodeCapsuleCmd(b *testing.B) {
 // BenchmarkCIDQueue measures the zero-copy pending queue (push + drain).
 func BenchmarkCIDQueue(b *testing.B) {
 	var q core.CIDQueue
+	var done [32]nvme.CID
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 32; j++ {
 			q.Push(nvme.CID(j))
 		}
-		if _, ok := q.DrainThrough(31); !ok {
+		if _, ok := q.DrainThrough(done[:0], 31); !ok {
 			b.Fatal("drain failed")
 		}
 	}
@@ -180,6 +181,7 @@ func BenchmarkCIDQueue(b *testing.B) {
 func BenchmarkHostPMStampResponse(b *testing.B) {
 	b.ReportAllocs()
 	h := core.NewHostPM(proto.PrioThroughputCritical, 32)
+	var done [32]nvme.CID
 	for i := 0; i < b.N; i++ {
 		var drainCID nvme.CID
 		for j := 0; j < 32; j++ {
@@ -188,7 +190,7 @@ func BenchmarkHostPMStampResponse(b *testing.B) {
 				drainCID = cid
 			}
 		}
-		if _, err := h.OnResponse(drainCID, true); err != nil {
+		if _, err := h.OnResponse(done[:0], drainCID, true); err != nil {
 			b.Fatal(err)
 		}
 	}

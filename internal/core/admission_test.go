@@ -155,12 +155,12 @@ func TestExpireStaleForceDrainsParkedQueue(t *testing.T) {
 	// The batch behaves exactly like a drain-triggered one: suppressed
 	// members, then one coalesced response carried by the last parked CID.
 	for cid := nvme.CID(1); cid <= 2; cid++ {
-		rds := pm.OnDeviceCompletion(1, cid, nvme.StatusSuccess)
+		rds := pm.OnDeviceCompletion(nil, 1, cid, nvme.StatusSuccess)
 		if len(rds) != 1 || rds[0].Send {
 			t.Fatalf("CID %d: member not suppressed: %v", cid, rds)
 		}
 	}
-	rds := pm.OnDeviceCompletion(1, 3, nvme.StatusSuccess)
+	rds := pm.OnDeviceCompletion(nil, 1, 3, nvme.StatusSuccess)
 	if len(rds) != 1 || !rds[0].Send || !rds[0].Coalesced || rds[0].CID != 3 {
 		t.Fatalf("coalesced release = %v, want coalesced CID 3", rds)
 	}

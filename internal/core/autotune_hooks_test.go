@@ -125,7 +125,7 @@ func TestDrainHookFiresOnCoalescedRelease(t *testing.T) {
 		t.Fatalf("hook fired at drain start: %+v", got)
 	}
 	for cid := 0; cid < 4; cid++ {
-		pm.OnDeviceCompletion(1, nvme.CID(cid), nvme.StatusSuccess)
+		pm.OnDeviceCompletion(nil, 1, nvme.CID(cid), nvme.StatusSuccess)
 	}
 	if len(got) != 1 {
 		t.Fatalf("hook fired %d times, want 1", len(got))
@@ -146,7 +146,7 @@ func TestDrainHookForcedWindow(t *testing.T) {
 		t.Fatalf("disposition = %v, want valve drain", d)
 	}
 	for _, m := range batch {
-		pm.OnDeviceCompletion(m.Tenant, m.CID, nvme.StatusSuccess)
+		pm.OnDeviceCompletion(nil, m.Tenant, m.CID, nvme.StatusSuccess)
 	}
 	if len(got) != 1 || !got[0].Forced || got[0].Window != 2 {
 		t.Fatalf("completions = %+v, want one forced window of 2", got)
@@ -163,13 +163,13 @@ func TestDrainHookWindowOrderAcrossBatches(t *testing.T) {
 	pm.OnCommand(1, 2, proto.PrioThroughputCritical)
 	pm.OnCommand(1, 3, proto.PrioTCDraining)
 	// Window B finishes first: its hook must wait for A's release.
-	pm.OnDeviceCompletion(1, 2, nvme.StatusSuccess)
-	pm.OnDeviceCompletion(1, 3, nvme.StatusSuccess)
+	pm.OnDeviceCompletion(nil, 1, 2, nvme.StatusSuccess)
+	pm.OnDeviceCompletion(nil, 1, 3, nvme.StatusSuccess)
 	if len(got) != 0 {
 		t.Fatalf("hook fired out of window order: %+v", got)
 	}
-	pm.OnDeviceCompletion(1, 0, nvme.StatusSuccess)
-	pm.OnDeviceCompletion(1, 1, nvme.StatusSuccess)
+	pm.OnDeviceCompletion(nil, 1, 0, nvme.StatusSuccess)
+	pm.OnDeviceCompletion(nil, 1, 1, nvme.StatusSuccess)
 	if len(got) != 2 {
 		t.Fatalf("hook fired %d times, want 2", len(got))
 	}
@@ -188,8 +188,8 @@ func TestDrainHookReentrantControl(t *testing.T) {
 	})
 	pm.OnCommand(1, 0, proto.PrioThroughputCritical)
 	pm.OnCommand(1, 1, proto.PrioTCDraining)
-	pm.OnDeviceCompletion(1, 0, nvme.StatusSuccess)
-	pm.OnDeviceCompletion(1, 1, nvme.StatusSuccess)
+	pm.OnDeviceCompletion(nil, 1, 0, nvme.StatusSuccess)
+	pm.OnDeviceCompletion(nil, 1, 1, nvme.StatusSuccess)
 	if pm.TenantWindow(1) != 2 || pm.TenantCap(1) != 16 {
 		t.Fatalf("re-entrant controls = (%d, %d), want (2, 16)",
 			pm.TenantWindow(1), pm.TenantCap(1))

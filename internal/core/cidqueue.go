@@ -87,13 +87,14 @@ func (q *CIDQueue) PopAll() []nvme.CID {
 	return out
 }
 
-// DrainThrough removes and returns, in FIFO order, every CID up to and
-// including the first occurrence of cid (Alg. 2: "loop through the queue
-// of pending requests until the ID of the request matches with the
-// received response"). If cid is not present the queue is left untouched
+// DrainThrough removes, in FIFO order, every CID up to and including the
+// first occurrence of cid (Alg. 2: "loop through the queue of pending
+// requests until the ID of the request matches with the received
+// response") and appends them to dst, returning the extended slice. If
+// cid is not present the queue is left untouched, dst is returned as is,
 // and ok is false — a coalesced completion naming an unknown CID is a
 // protocol violation the caller must surface, not silently absorb.
-func (q *CIDQueue) DrainThrough(cid nvme.CID) (drained []nvme.CID, ok bool) {
+func (q *CIDQueue) DrainThrough(dst []nvme.CID, cid nvme.CID) (drained []nvme.CID, ok bool) {
 	idx := -1
 	for i := 0; i < q.n; i++ {
 		if q.buf[(q.head+i)%len(q.buf)] == cid {
@@ -102,15 +103,14 @@ func (q *CIDQueue) DrainThrough(cid nvme.CID) (drained []nvme.CID, ok bool) {
 		}
 	}
 	if idx < 0 {
-		return nil, false
+		return dst, false
 	}
-	drained = make([]nvme.CID, idx+1)
 	for i := 0; i <= idx; i++ {
-		drained[i] = q.buf[(q.head+i)%len(q.buf)]
+		dst = append(dst, q.buf[(q.head+i)%len(q.buf)])
 	}
 	q.head = (q.head + idx + 1) % len(q.buf)
 	q.n -= idx + 1
-	return drained, true
+	return dst, true
 }
 
 // Remove deletes the first occurrence of cid, preserving order of the

@@ -89,7 +89,7 @@ func TestCIDQueueDrainThrough(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		q.Push(nvme.CID(i))
 	}
-	drained, ok := q.DrainThrough(4)
+	drained, ok := q.DrainThrough(nil, 4)
 	if !ok || len(drained) != 5 {
 		t.Fatalf("drained = %v, ok=%v", drained, ok)
 	}
@@ -105,7 +105,7 @@ func TestCIDQueueDrainThrough(t *testing.T) {
 		t.Fatalf("front after drain = %d", f)
 	}
 	// Unknown CID must not mutate.
-	if _, ok := q.DrainThrough(99); ok {
+	if _, ok := q.DrainThrough(nil, 99); ok {
 		t.Fatal("unknown CID drained")
 	}
 	if q.Len() != 5 {
@@ -118,7 +118,7 @@ func TestCIDQueueDrainThroughFirstOccurrence(t *testing.T) {
 	for _, cid := range []nvme.CID{7, 3, 7, 9} {
 		q.Push(cid)
 	}
-	drained, ok := q.DrainThrough(7)
+	drained, ok := q.DrainThrough(nil, 7)
 	if !ok || len(drained) != 1 || drained[0] != 7 {
 		t.Fatalf("drained = %v", drained)
 	}
@@ -194,7 +194,7 @@ func TestCIDQueueModelProperty(t *testing.T) {
 				}
 			case 2: // drain through a (maybe present) cid
 				target := o.Arg % (next + 1)
-				drained, ok := q.DrainThrough(target)
+				drained, ok := q.DrainThrough(nil, target)
 				idx := -1
 				for i, m := range model {
 					if m == target {

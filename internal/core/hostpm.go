@@ -160,35 +160,39 @@ func (h *HostPM) DropPending() []nvme.CID {
 	return h.pending.PopAll()
 }
 
-// OnResponse processes one wire response (Alg. 2). It returns the CIDs
-// the application must observe as completed, in submission order. For a
-// coalesced response naming CID c, that is every pending CID up to and
-// including c; for individual responses it is just the named CID. An
-// unknown CID is a protocol violation and returns an error.
-func (h *HostPM) OnResponse(cid nvme.CID, coalesced bool) ([]nvme.CID, error) {
+// OnResponse processes one wire response (Alg. 2). It appends the CIDs
+// the application must observe as completed, in submission order, to dst
+// and returns the extended slice: for a coalesced response naming CID c,
+// every pending CID up to and including c; for individual responses just
+// the named CID. The caller owns dst, so a completion callback that
+// re-enters the session with another response cannot overwrite a replay
+// still being delivered. An unknown CID is a protocol violation and
+// returns an error.
+func (h *HostPM) OnResponse(dst []nvme.CID, cid nvme.CID, coalesced bool) ([]nvme.CID, error) {
 	if !h.prio.ThroughputCritical() {
 		// LS/normal connections get one response per request and keep no
 		// pending queue.
 		h.stats.IndividualResps++
-		return []nvme.CID{cid}, nil
+		return append(dst, cid), nil
 	}
 	if coalesced {
-		done, ok := h.pending.DrainThrough(cid)
+		n := len(dst)
+		done, ok := h.pending.DrainThrough(dst, cid)
 		if !ok {
-			return nil, fmt.Errorf("core: coalesced response names unknown CID %d", cid)
+			return dst, fmt.Errorf("core: coalesced response names unknown CID %d", cid)
 		}
 		h.stats.CoalescedResps++
-		h.stats.ReplayCompleted += int64(len(done))
+		h.stats.ReplayCompleted += int64(len(done) - n)
 		return done, nil
 	}
 	// Individual response on a TC connection: a premature-flush victim's
 	// completion (shared-queue ablation) or an error response. Remove it
 	// from the pending queue wherever it sits.
 	if !h.pending.Remove(cid) {
-		return nil, fmt.Errorf("core: response names unknown CID %d", cid)
+		return dst, fmt.Errorf("core: response names unknown CID %d", cid)
 	}
 	h.stats.IndividualResps++
-	return []nvme.CID{cid}, nil
+	return append(dst, cid), nil
 }
 
 // OnDrainCompleted notifies the dynamic tuner (if enabled) that a window

@@ -44,7 +44,7 @@ func TestStampLSNeverQueues(t *testing.T) {
 	if h.Pending() != 0 {
 		t.Fatalf("LS connection queued CIDs: %d", h.Pending())
 	}
-	done, err := h.OnResponse(3, false)
+	done, err := h.OnResponse(nil, 3, false)
 	if err != nil || len(done) != 1 || done[0] != 3 {
 		t.Fatalf("LS response handling: %v, %v", done, err)
 	}
@@ -79,7 +79,7 @@ func TestCoalescedReplayCompletesInOrder(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h.Stamp(nvme.CID(i))
 	}
-	done, err := h.OnResponse(3, true)
+	done, err := h.OnResponse(nil, 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCoalescedReplayPartial(t *testing.T) {
 		h.Stamp(nvme.CID(i))
 	}
 	// First window's drain (CID 1) completes; CIDs 2..5 remain.
-	done, err := h.OnResponse(1, true)
+	done, err := h.OnResponse(nil, 1, true)
 	if err != nil || len(done) != 2 {
 		t.Fatalf("done = %v, err = %v", done, err)
 	}
@@ -118,10 +118,10 @@ func TestCoalescedReplayPartial(t *testing.T) {
 func TestUnknownCIDResponseIsError(t *testing.T) {
 	h := NewHostPM(proto.PrioThroughputCritical, 4)
 	h.Stamp(0)
-	if _, err := h.OnResponse(99, true); err == nil {
+	if _, err := h.OnResponse(nil, 99, true); err == nil {
 		t.Fatal("unknown coalesced CID accepted")
 	}
-	if _, err := h.OnResponse(99, false); err == nil {
+	if _, err := h.OnResponse(nil, 99, false); err == nil {
 		t.Fatal("unknown individual CID accepted")
 	}
 	// The failed responses must not perturb the pending queue.
@@ -136,12 +136,12 @@ func TestIndividualTCResponseRemoves(t *testing.T) {
 		h.Stamp(nvme.CID(i))
 	}
 	// Premature-flush victim response for CID 2 (mid-queue).
-	done, err := h.OnResponse(2, false)
+	done, err := h.OnResponse(nil, 2, false)
 	if err != nil || len(done) != 1 || done[0] != 2 {
 		t.Fatalf("done = %v, err = %v", done, err)
 	}
 	// Later coalesced response for CID 3 completes 0, 1, 3.
-	done, err = h.OnResponse(3, true)
+	done, err = h.OnResponse(nil, 3, true)
 	if err != nil || len(done) != 3 {
 		t.Fatalf("done = %v, err = %v", done, err)
 	}
@@ -213,11 +213,11 @@ func TestHostTargetPMEndToEndProperty(t *testing.T) {
 		})
 		completed := make(map[nvme.CID]int)
 		for _, m := range executing {
-			for _, rd := range pm.OnDeviceCompletion(m.Tenant, m.CID, nvme.StatusSuccess) {
+			for _, rd := range pm.OnDeviceCompletion(nil, m.Tenant, m.CID, nvme.StatusSuccess) {
 				if !rd.Send {
 					continue
 				}
-				done, err := host.OnResponse(rd.CID, rd.Coalesced)
+				done, err := host.OnResponse(nil, rd.CID, rd.Coalesced)
 				if err != nil {
 					return false
 				}

@@ -52,7 +52,7 @@ func TestScavengerParksWhileLSPending(t *testing.T) {
 			st.ScavQueued, st.ScavDrains, st.ScavAgedDrains)
 	}
 	// The batch completes like any drain window: one coalesced response.
-	rds := pm.OnDeviceCompletion(2, 10, nvme.StatusSuccess)
+	rds := pm.OnDeviceCompletion(nil, 2, 10, nvme.StatusSuccess)
 	if len(rds) != 1 || !rds[0].Send || !rds[0].Coalesced || rds[0].CID != 10 {
 		t.Fatalf("scavenger completion = %v, want coalesced CID 10", rds)
 	}
@@ -188,7 +188,7 @@ func TestScavengerDrainsInChunks(t *testing.T) {
 			t.Fatalf("second chunk released with one already in service: %v", extra)
 		}
 		for _, m := range got[0] {
-			pm.OnDeviceCompletion(m.Tenant, m.CID, nvme.StatusSuccess)
+			pm.OnDeviceCompletion(nil, m.Tenant, m.CID, nvme.StatusSuccess)
 		}
 	}
 
@@ -333,7 +333,7 @@ func TestTenantIDOver256FullCycle(t *testing.T) {
 			t.Fatalf("tenant %d: drain = %v/%d members", tenant, d, len(batch))
 		}
 		for cid := nvme.CID(1); cid <= 3; cid++ {
-			pm.OnDeviceCompletion(tenant, cid, nvme.StatusSuccess)
+			pm.OnDeviceCompletion(nil, tenant, cid, nvme.StatusSuccess)
 			pm.Release(tenant, proto.PrioThroughputCritical)
 		}
 		// Scavenger cycle on the same ID.
@@ -342,7 +342,7 @@ func TestTenantIDOver256FullCycle(t *testing.T) {
 		if got := pm.PollScavenger(0); len(got) != 1 {
 			t.Fatalf("tenant %d: scavenger drain = %v", tenant, got)
 		}
-		pm.OnDeviceCompletion(tenant, 9, nvme.StatusSuccess)
+		pm.OnDeviceCompletion(nil, tenant, 9, nvme.StatusSuccess)
 		pm.Release(tenant, proto.PrioScavenger)
 		if pm.PendingRequests(tenant) != 0 {
 			t.Fatalf("tenant %d: %d pending after full cycle", tenant, pm.PendingRequests(tenant))
@@ -446,7 +446,7 @@ func TestHostPMTrackKeepsWindowUntouched(t *testing.T) {
 		t.Fatalf("Sent=%d DrainsInserted=%d, want 10/0", st.Sent, st.DrainsInserted)
 	}
 	// A target-driven coalesced drain replays the queue in order.
-	done, err := h.OnResponse(9, true)
+	done, err := h.OnResponse(nil, 9, true)
 	if err != nil || len(done) != 10 {
 		t.Fatalf("coalesced replay = %v, %v", done, err)
 	}

@@ -798,20 +798,24 @@ func (pm *TargetPM) beginBatch(owner proto.TenantID, drainCID nvme.CID, hasDrain
 }
 
 // OnDeviceCompletion processes one device completion (Alg. 4) and decides
-// the wire response(s). LS/normal completions always respond. TC batch
-// members of the batch owner are suppressed until the batch empties, then
-// one coalesced response carries the drain CID. Foreign batch members
-// (shared-queue mode only: another tenant's requests prematurely flushed
-// by this drain) receive individual responses, because a coalesced
-// response can only cover the owner's connection.
-func (pm *TargetPM) OnDeviceCompletion(t proto.TenantID, cid nvme.CID, st nvme.Status) []RespDecision {
+// the wire response(s), appending them to dst and returning the extended
+// slice. LS/normal completions always respond. TC batch members of the
+// batch owner are suppressed until the batch empties, then one coalesced
+// response carries the drain CID. Foreign batch members (shared-queue
+// mode only: another tenant's requests prematurely flushed by this drain)
+// receive individual responses, because a coalesced response can only
+// cover the owner's connection. The caller owns dst: sending a response
+// may re-enter the target with a new completion, so the decisions being
+// delivered must not live in PM-owned storage (a small array on the
+// caller's stack is the intended backing).
+func (pm *TargetPM) OnDeviceCompletion(dst []RespDecision, t proto.TenantID, cid nvme.CID, st nvme.Status) []RespDecision {
 	key := TaggedCID{Tenant: t, CID: cid}
 	b, ok := pm.batches[key]
 	if !ok {
 		// Not part of any TC batch: LS or legacy request.
 		pm.stats.RespsSent++
 		pm.tel.IncResponse(t, false)
-		return []RespDecision{{Send: true, Tenant: t, CID: cid, Status: st}}
+		return append(dst, RespDecision{Send: true, Tenant: t, CID: cid, Status: st})
 	}
 	delete(pm.batches, key)
 	b.remaining--
@@ -825,21 +829,21 @@ func (pm *TargetPM) OnDeviceCompletion(t proto.TenantID, cid nvme.CID, st nvme.S
 		// owners behind it stay ordered.
 		pm.stats.RespsSent++
 		pm.tel.IncResponse(t, false)
-		out := []RespDecision{{Send: true, Tenant: t, CID: cid, Status: st}}
+		dst = append(dst, RespDecision{Send: true, Tenant: t, CID: cid, Status: st})
 		if b.remaining == 0 {
 			b.done = true
-			out = append(out, pm.releaseInOrder(b.owner)...)
+			dst = pm.releaseInOrder(dst, b.owner)
 		}
-		return out
+		return dst
 	}
 
-	var out []RespDecision
+	n := len(dst)
 	if t != b.owner {
 		// Premature flush victim: respond individually so the victim's
 		// initiator does not hang; its coalescing benefit is lost.
 		pm.stats.RespsSent++
 		pm.tel.IncResponse(t, false)
-		out = append(out, RespDecision{Send: true, Tenant: t, CID: cid, Status: st})
+		dst = append(dst, RespDecision{Send: true, Tenant: t, CID: cid, Status: st})
 	} else {
 		if !st.OK() && b.status.OK() {
 			b.status = st
@@ -850,24 +854,23 @@ func (pm *TargetPM) OnDeviceCompletion(t proto.TenantID, cid nvme.CID, st nvme.S
 			// coalesced response waits for the whole window regardless.
 			pm.stats.RespsSuppressed++
 			pm.tel.IncSuppressed(t)
-			return []RespDecision{{Send: false}}
+			return append(dst, RespDecision{Send: false})
 		}
 	}
 	if b.remaining == 0 {
 		b.done = true
-		out = append(out, pm.releaseInOrder(b.owner)...)
+		dst = pm.releaseInOrder(dst, b.owner)
 	}
-	if len(out) == 0 {
-		out = append(out, RespDecision{Send: false})
+	if len(dst) == n {
+		dst = append(dst, RespDecision{Send: false})
 	}
-	return out
+	return dst
 }
 
-// releaseInOrder emits coalesced responses for the tenant's completed
-// windows, strictly in window order; a finished window parked behind an
-// unfinished earlier one stays unannounced until its turn.
-func (pm *TargetPM) releaseInOrder(owner proto.TenantID) []RespDecision {
-	var out []RespDecision
+// releaseInOrder appends coalesced responses for the tenant's completed
+// windows to dst, strictly in window order; a finished window parked
+// behind an unfinished earlier one stays unannounced until its turn.
+func (pm *TargetPM) releaseInOrder(dst []RespDecision, owner proto.TenantID) []RespDecision {
 	q := pm.inflight[owner]
 	for len(q) > 0 && q[0].done {
 		b := q[0]
@@ -894,7 +897,7 @@ func (pm *TargetPM) releaseInOrder(owner proto.TenantID) []RespDecision {
 		if pm.trace != nil {
 			pm.trace(telemetry.Event{Stage: telemetry.StageCoalescedNotify, Tenant: b.owner, CID: b.drainCID, Aux: int64(b.size)})
 		}
-		out = append(out, RespDecision{
+		dst = append(dst, RespDecision{
 			Send:      true,
 			Tenant:    b.owner,
 			CID:       b.drainCID,
@@ -907,7 +910,7 @@ func (pm *TargetPM) releaseInOrder(owner proto.TenantID) []RespDecision {
 	} else {
 		pm.inflight[owner] = q
 	}
-	return out
+	return dst
 }
 
 // DropTenant discards every queued (not yet executing) request owned by

@@ -81,7 +81,7 @@ func TestCoalescedCompletionOnlyAfterWholeBatch(t *testing.T) {
 	order := []nvme.CID{2, 0, 3, 1}
 	var sent []RespDecision
 	for _, cid := range order {
-		for _, rd := range pm.OnDeviceCompletion(1, cid, nvme.StatusSuccess) {
+		for _, rd := range pm.OnDeviceCompletion(nil, 1, cid, nvme.StatusSuccess) {
 			if rd.Send {
 				sent = append(sent, rd)
 			}
@@ -108,11 +108,11 @@ func TestDrainCompletingEarlyStillWaits(t *testing.T) {
 	pm.OnCommand(1, 0, proto.PrioThroughputCritical)
 	pm.OnCommand(1, 1, proto.PrioTCDraining)
 	// Device finishes the drain request first (out of order).
-	rds := pm.OnDeviceCompletion(1, 1, nvme.StatusSuccess)
+	rds := pm.OnDeviceCompletion(nil, 1, 1, nvme.StatusSuccess)
 	if len(rds) != 1 || rds[0].Send {
 		t.Fatalf("early drain completion should be suppressed: %+v", rds)
 	}
-	rds = pm.OnDeviceCompletion(1, 0, nvme.StatusSuccess)
+	rds = pm.OnDeviceCompletion(nil, 1, 0, nvme.StatusSuccess)
 	if len(rds) != 1 || !rds[0].Send || !rds[0].Coalesced || rds[0].CID != 1 {
 		t.Fatalf("final completion wrong: %+v", rds)
 	}
@@ -122,8 +122,8 @@ func TestBatchErrorStatusPropagates(t *testing.T) {
 	pm := isolatedPM()
 	pm.OnCommand(1, 0, proto.PrioThroughputCritical)
 	pm.OnCommand(1, 1, proto.PrioTCDraining)
-	pm.OnDeviceCompletion(1, 0, nvme.StatusLBAOutOfRange)
-	rds := pm.OnDeviceCompletion(1, 1, nvme.StatusSuccess)
+	pm.OnDeviceCompletion(nil, 1, 0, nvme.StatusLBAOutOfRange)
+	rds := pm.OnDeviceCompletion(nil, 1, 1, nvme.StatusSuccess)
 	if len(rds) != 1 || !rds[0].Send {
 		t.Fatal("no final response")
 	}
@@ -135,7 +135,7 @@ func TestBatchErrorStatusPropagates(t *testing.T) {
 func TestLSCompletionAlwaysResponds(t *testing.T) {
 	pm := isolatedPM()
 	pm.OnCommand(1, 7, proto.PrioLatencySensitive)
-	rds := pm.OnDeviceCompletion(1, 7, nvme.StatusSuccess)
+	rds := pm.OnDeviceCompletion(nil, 1, 7, nvme.StatusSuccess)
 	if len(rds) != 1 || !rds[0].Send || rds[0].Coalesced || rds[0].CID != 7 {
 		t.Fatalf("LS response wrong: %+v", rds)
 	}
@@ -171,8 +171,8 @@ func TestSameCIDDifferentTenants(t *testing.T) {
 	// CIDs are per-connection; both tenants use CID 0 concurrently.
 	pm.OnCommand(1, 0, proto.PrioTCDraining)
 	pm.OnCommand(2, 0, proto.PrioTCDraining)
-	rd1 := pm.OnDeviceCompletion(1, 0, nvme.StatusSuccess)
-	rd2 := pm.OnDeviceCompletion(2, 0, nvme.StatusSuccess)
+	rd1 := pm.OnDeviceCompletion(nil, 1, 0, nvme.StatusSuccess)
+	rd2 := pm.OnDeviceCompletion(nil, 2, 0, nvme.StatusSuccess)
 	if !rd1[0].Send || rd1[0].Tenant != 1 {
 		t.Fatalf("tenant 1 response: %+v", rd1)
 	}
@@ -199,7 +199,7 @@ func TestSharedQueuePrematureFlush(t *testing.T) {
 	// executable) — the hazard costs the design its coalescing benefit.
 	var toT1, toT2, coalesced int
 	for _, m := range batch {
-		for _, rd := range pm.OnDeviceCompletion(m.Tenant, m.CID, nvme.StatusSuccess) {
+		for _, rd := range pm.OnDeviceCompletion(nil, m.Tenant, m.CID, nvme.StatusSuccess) {
 			if !rd.Send {
 				continue
 			}
@@ -250,7 +250,7 @@ func TestForcedDrainSafetyValve(t *testing.T) {
 	// last member.
 	var sent int
 	for _, m := range batch {
-		for _, rd := range pm.OnDeviceCompletion(1, m.CID, nvme.StatusSuccess) {
+		for _, rd := range pm.OnDeviceCompletion(nil, 1, m.CID, nvme.StatusSuccess) {
 			if rd.Send {
 				sent++
 				if !rd.Coalesced || rd.CID != 3 {
@@ -296,7 +296,7 @@ func TestMultipleConcurrentBatchesPerTenant(t *testing.T) {
 	// Complete window 2 first (device reordering across batches).
 	var sent []RespDecision
 	for _, cid := range []nvme.CID{3, 2, 1, 0} {
-		for _, rd := range pm.OnDeviceCompletion(1, cid, nvme.StatusSuccess) {
+		for _, rd := range pm.OnDeviceCompletion(nil, 1, cid, nvme.StatusSuccess) {
 			if rd.Send {
 				sent = append(sent, rd)
 			}
@@ -322,7 +322,7 @@ func TestCrossWindowResponseOrdering(t *testing.T) {
 	}
 	var sent []nvme.CID
 	complete := func(cid nvme.CID) {
-		for _, rd := range pm.OnDeviceCompletion(1, cid, nvme.StatusSuccess) {
+		for _, rd := range pm.OnDeviceCompletion(nil, 1, cid, nvme.StatusSuccess) {
 			if rd.Send {
 				sent = append(sent, rd.CID)
 			}
@@ -413,8 +413,8 @@ func TestDropTenantEmptyAndExecutingUntouched(t *testing.T) {
 	if dropped := pm.DropTenant(1); dropped != nil {
 		t.Fatalf("drop reached executing batch: %v", dropped)
 	}
-	pm.OnDeviceCompletion(1, 0, nvme.StatusSuccess)
-	rds := pm.OnDeviceCompletion(1, 1, nvme.StatusSuccess)
+	pm.OnDeviceCompletion(nil, 1, 0, nvme.StatusSuccess)
+	rds := pm.OnDeviceCompletion(nil, 1, 1, nvme.StatusSuccess)
 	if len(rds) != 1 || !rds[0].Send || !rds[0].Coalesced {
 		t.Fatalf("batch completion broken after drop: %+v", rds)
 	}

@@ -88,8 +88,9 @@ type Config struct {
 	Recorder *telemetry.Recorder
 	// OnReadBuffer and OnReadRetire are transport-owned hooks for the
 	// zero-copy read path. When the namespace geometry is known, Submit
-	// preallocates each read's destination buffer and announces it via
-	// OnReadBuffer(cid, buf) before the command reaches the wire; the
+	// resolves each read's destination buffer (the caller's IO.Data, or
+	// one it allocates) and announces it via OnReadBuffer(cid, buf)
+	// before the command reaches the wire; the
 	// transport registers it so its reader can land C2HData payloads
 	// directly at the right offset (proto.Reader.SetC2HSink).
 	// OnReadRetire(cid) runs when the read leaves the pending set —
@@ -117,10 +118,16 @@ func (c Config) Validate() error {
 
 // Result is delivered to the IO callback on completion.
 type Result struct {
-	Status      nvme.Status
-	Data        []byte // read payload (nil for writes/flush)
-	SubmittedAt int64  // clock value at submission
-	CompletedAt int64  // clock value at application-visible completion
+	Status nvme.Status
+	// Data is a read's destination buffer: the caller's IO.Data when one
+	// was supplied, else a buffer the session allocated. Nil for writes
+	// and flushes, and nil on completions delivered by FailAll — a
+	// transport reader may still be writing into the buffer then, so it
+	// is not handed back (a caller recycling supplied buffers drops that
+	// one and allocates afresh).
+	Data        []byte
+	SubmittedAt int64 // clock value at submission
+	CompletedAt int64 // clock value at application-visible completion
 }
 
 // Latency returns the request's end-to-end latency in clock units.
@@ -130,8 +137,15 @@ func (r Result) Latency() int64 { return r.CompletedAt - r.SubmittedAt }
 type IO struct {
 	Op     nvme.Opcode
 	LBA    uint64
-	Blocks uint32
-	Data   []byte // write payload; must be Blocks * blocksize bytes
+	Blocks uint32 // at most nvme.MaxBlocks (the 0's-based 16-bit NLB)
+	// Data is a write's payload (Blocks × block size bytes), or
+	// optionally a read's destination. A non-nil read buffer must be
+	// exactly Blocks × the namespace block size (so the handshake must
+	// have learned the geometry); the read data lands there — on TCP
+	// directly from the socket — and the buffer comes back only through
+	// Result.Data. Until then the session and transport own it. A nil
+	// read buffer makes the session allocate one per read.
+	Data []byte
 	// Prio optionally overrides the connection class for this request
 	// (zero value means "use the connection class").
 	Prio proto.Priority
@@ -147,8 +161,11 @@ type IO struct {
 	Done func(Result)
 }
 
-// pendingReq is the host-side request state.
+// pendingReq is the host-side request state. Records live in the
+// session's CID-indexed table and are recycled in place: one record per
+// CID slot, reused by every request that CID carries.
 type pendingReq struct {
+	live         bool // a request holds this record's CID
 	io           IO
 	prio         proto.Priority // wire priority (selects the LS/TC histogram)
 	coalescable  bool           // routed through the host PM's pending queue
@@ -196,12 +213,15 @@ type Stats struct {
 // the transport layer serializes calls (event loop or a per-connection
 // goroutine).
 type Session struct {
-	cfg    Config
-	send   func(proto.PDU)
-	clock  func() int64
-	pm     *core.HostPM
-	cids   *nvme.CIDAllocator
-	reqs   map[nvme.CID]*pendingReq
+	cfg   Config
+	send  func(proto.PDU)
+	clock func() int64
+	pm    *core.HostPM
+	cids  *nvme.CIDAllocator
+	// reqs holds one request record per CID slot. It is sized to the
+	// queue depth, which bounds every CID the allocator issues, so inbound
+	// wire CIDs are range-checked against it and never trusted.
+	reqs   []*pendingReq
 	tenant proto.TenantID
 
 	connected    bool
@@ -255,8 +275,38 @@ func New(cfg Config, send func(proto.PDU), clock func() int64) (*Session, error)
 		clock: clock,
 		pm:    pm,
 		cids:  nvme.NewCIDAllocator(cfg.QueueDepth),
-		reqs:  make(map[nvme.CID]*pendingReq, cfg.QueueDepth),
+		reqs:  make([]*pendingReq, cfg.QueueDepth),
 	}, nil
+}
+
+// lookup returns the live request holding cid, or nil for a CID that is
+// out of range or not outstanding.
+func (s *Session) lookup(cid nvme.CID) *pendingReq {
+	if int(cid) < len(s.reqs) {
+		if r := s.reqs[cid]; r != nil && r.live {
+			return r
+		}
+	}
+	return nil
+}
+
+// retire takes r (holding cid) out of the pending set: the CID returns to
+// the allocator and the transport's read-buffer registration is dropped.
+func (s *Session) retire(cid nvme.CID, r *pendingReq) error {
+	r.live = false
+	if err := s.cids.Release(cid); err != nil {
+		return err
+	}
+	if r.io.Op == nvme.OpRead && s.cfg.OnReadRetire != nil {
+		s.cfg.OnReadRetire(cid)
+	}
+	return nil
+}
+
+// recycle clears a retired record for the next request on its CID,
+// keeping the span list's capacity.
+func (r *pendingReq) recycle() {
+	*r = pendingReq{spans: r.spans[:0]}
 }
 
 // Start sends the connection request. The session accepts submissions only
@@ -364,8 +414,23 @@ func (s *Session) Submit(io IO) error {
 	if io.Done == nil {
 		return errors.New("hostqp: IO without Done callback")
 	}
-	if io.Blocks == 0 && io.Op != nvme.OpFlush {
-		return errors.New("hostqp: zero-length IO")
+	if io.Op != nvme.OpFlush {
+		if io.Blocks == 0 {
+			return errors.New("hostqp: zero-length IO")
+		}
+		if io.Blocks > nvme.MaxBlocks {
+			// NLB is 0's-based in 16 bits: a larger count would silently
+			// truncate into a different, shorter command.
+			return fmt.Errorf("hostqp: %d blocks exceeds the %d-block command limit", io.Blocks, nvme.MaxBlocks)
+		}
+	}
+	if io.Op == nvme.OpRead && io.Data != nil {
+		if s.nsBlockSize == 0 {
+			return errors.New("hostqp: caller-supplied read buffer needs the namespace geometry, which the target did not report")
+		}
+		if want := int(io.Blocks) * int(s.nsBlockSize); len(io.Data) != want {
+			return fmt.Errorf("hostqp: read buffer is %d bytes, want %d", len(io.Data), want)
+		}
 	}
 	// Zero priority means "inherit the connection class" (PrioNormal is
 	// the zero value; a connection classed normal stays normal).
@@ -388,7 +453,12 @@ func (s *Session) Submit(io IO) error {
 		return ErrQueueFull
 	}
 
-	req := &pendingReq{io: io, submittedAt: s.clock()}
+	req := s.reqs[cid]
+	if req == nil {
+		req = new(pendingReq)
+		s.reqs[cid] = req
+	}
+	req.live, req.io, req.submittedAt = true, io, s.clock()
 	var wire proto.Priority
 	switch {
 	case eff.ThroughputCritical():
@@ -425,22 +495,29 @@ func (s *Session) Submit(io IO) error {
 			// offsets are validated against the expected length, not
 			// trusted.
 			req.expectedRead = int(io.Blocks) * int(s.nsBlockSize)
-			req.readBuf = make([]byte, req.expectedRead)
+			req.readBuf = io.Data
+			if req.readBuf == nil {
+				req.readBuf = make([]byte, req.expectedRead)
+			}
 			if s.cfg.OnReadBuffer != nil {
 				s.cfg.OnReadBuffer(cid, req.readBuf)
 			}
-		} else {
-			req.readBuf = nil // grown as data arrives, capped at maxDataLen
 		}
+		// Geometry unknown: readBuf starts nil and grows as data
+		// arrives, capped at maxDataLen.
 	}
-	s.reqs[cid] = req
 	s.stats.Submitted++
 	s.stats.CmdPDUs++
 	s.cfg.Telemetry.IncSubmitted(s.tenant, int64(len(data)))
 	if s.cfg.Trace != nil {
 		s.cfg.Trace(telemetry.Event{Stage: telemetry.StageSubmit, Tenant: s.tenant, CID: cid, Prio: wire})
 	}
-	s.send(&proto.CapsuleCmd{Cmd: cmd, Prio: wire, Tenant: s.tenant, Data: data})
+	// Pooled struct: the transport recycles it once the capsule is on
+	// the wire (the TCP writer after flush, the simulator after delivery);
+	// the write payload stays the caller's.
+	c := proto.GetCapsuleCmd()
+	c.Cmd, c.Prio, c.Tenant, c.Data = cmd, wire, s.tenant, data
+	s.send(c)
 	return nil
 }
 
@@ -537,8 +614,8 @@ func (s *Session) handleTelemetryAck(pdu *proto.TelemetryAck) error {
 // transports escalate to a connection reset.
 func (s *Session) handleData(pdu *proto.C2HData) error {
 	s.stats.DataPDUs++
-	req, ok := s.reqs[pdu.CCCID]
-	if !ok {
+	req := s.lookup(pdu.CCCID)
+	if req == nil {
 		return &ProtocolError{Reason: fmt.Sprintf("C2HData for unknown CID %d", pdu.CCCID)}
 	}
 	if req.io.Op != nvme.OpRead {
@@ -579,35 +656,36 @@ func (s *Session) handleData(pdu *proto.C2HData) error {
 func (s *Session) handleResp(pdu *proto.CapsuleResp) error {
 	s.stats.RespPDUs++
 	cid := pdu.Cpl.CID
-	req, ok := s.reqs[cid]
-	if !ok {
-		return fmt.Errorf("hostqp: response for unknown CID %d", cid)
+	req := s.lookup(cid)
+	if req == nil {
+		return &ProtocolError{Reason: fmt.Sprintf("response for unknown CID %d", cid)}
 	}
+	// The completed CIDs land in stack storage: a Done callback below may
+	// re-enter the session with another response (in-process transports),
+	// which must not overwrite this replay. Windows beyond the array's
+	// size spill to the heap once per window.
+	var doneBuf [64]nvme.CID
 	var done []nvme.CID
-	var err error
 	if pdu.Coalesced || req.coalescable {
 		// TC path: the PM replays the pending prefix (coalesced) or
 		// removes the one CID (individual response to a TC request).
-		done, err = s.pm.OnResponse(cid, pdu.Coalesced)
+		var err error
+		done, err = s.pm.OnResponse(doneBuf[:0], cid, pdu.Coalesced)
 		if err != nil {
 			return err
 		}
 	} else {
-		done = []nvme.CID{cid}
+		done = append(doneBuf[:0], cid)
 	}
 	now := s.clock()
 	var windowBytes int64
 	for _, c := range done {
-		r, ok := s.reqs[c]
-		if !ok {
+		r := s.lookup(c)
+		if r == nil {
 			return fmt.Errorf("hostqp: completion replay names unknown CID %d", c)
 		}
-		delete(s.reqs, c)
-		if err := s.cids.Release(c); err != nil {
+		if err := s.retire(c, r); err != nil {
 			return err
-		}
-		if r.io.Op == nvme.OpRead && s.cfg.OnReadRetire != nil {
-			s.cfg.OnReadRetire(c)
 		}
 		st := pdu.Cpl.Status
 		if st.OK() && r.expectedRead > 0 && r.readBytes < r.expectedRead {
@@ -633,12 +711,13 @@ func (s *Session) handleResp(pdu *proto.CapsuleResp) error {
 			}
 			s.cfg.Trace(telemetry.Event{Stage: telemetry.StageComplete, Tenant: s.tenant, CID: c, Prio: r.prio, Aux: now - r.submittedAt})
 		}
-		r.io.Done(Result{
-			Status:      st,
-			Data:        r.readBuf,
-			SubmittedAt: r.submittedAt,
-			CompletedAt: now,
-		})
+		// Build the result and recycle the record before Done runs: a Done
+		// that resubmits may be handed this CID, and so this record, at
+		// once.
+		res := Result{Status: st, Data: r.readBuf, SubmittedAt: r.submittedAt, CompletedAt: now}
+		fn := r.io.Done
+		r.recycle()
+		fn(res)
 	}
 	if pdu.Coalesced {
 		s.drainedBytes += windowBytes
@@ -654,7 +733,7 @@ func (s *Session) handleResp(pdu *proto.CapsuleResp) error {
 // waiting longer than the deadline, the connection is declared dead.
 func (s *Session) OldestSubmittedAt() (ts int64, ok bool) {
 	for _, req := range s.reqs {
-		if !ok || req.submittedAt < ts {
+		if req != nil && req.live && (!ok || req.submittedAt < ts) {
 			ts = req.submittedAt
 			ok = true
 		}
@@ -668,36 +747,32 @@ func (s *Session) OldestSubmittedAt() (ts int64, ok bool) {
 // connection dies (read error, request deadline, teardown) so no Done
 // callback is stranded and no queue depth leaks. It returns the number of
 // requests failed. Completions are delivered in CID order for
-// determinism.
+// determinism, with nil Result.Data: the transport's reader may still be
+// landing bytes in a read's buffer.
 func (s *Session) FailAll(st nvme.Status) int {
 	s.connected = false
 	s.pm.DropPending()
-	cids := make([]nvme.CID, 0, len(s.reqs))
-	for cid := range s.reqs {
-		cids = append(cids, cid)
-	}
-	sort.Slice(cids, func(i, j int) bool { return cids[i] < cids[j] })
 	now := s.clock()
-	for _, cid := range cids {
-		req := s.reqs[cid]
-		delete(s.reqs, cid)
-		_ = s.cids.Release(cid)
-		if req.io.Op == nvme.OpRead && s.cfg.OnReadRetire != nil {
-			s.cfg.OnReadRetire(cid)
+	n := 0
+	for i, req := range s.reqs {
+		if req == nil || !req.live {
+			continue
 		}
+		cid := nvme.CID(i)
+		_ = s.retire(cid, req)
+		n++
 		s.stats.Completed++
 		s.stats.Errors++
 		s.cfg.Telemetry.IncCompleted(s.tenant, req.prio, now-req.submittedAt, int64(req.readBytes), false)
 		if s.cfg.Trace != nil {
 			s.cfg.Trace(telemetry.Event{Stage: telemetry.StageComplete, Tenant: s.tenant, CID: cid, Prio: req.prio, Aux: now - req.submittedAt})
 		}
-		req.io.Done(Result{
-			Status:      st,
-			SubmittedAt: req.submittedAt,
-			CompletedAt: now,
-		})
+		res := Result{Status: st, SubmittedAt: req.submittedAt, CompletedAt: now}
+		fn := req.io.Done
+		req.recycle()
+		fn(res)
 	}
-	return len(cids)
+	return n
 }
 
 // PMStats exposes the host priority manager counters.

@@ -105,3 +105,38 @@ func TestCIDAllocatorProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCIDAllocatorOutOfRangeRelease: a CID at or above the allocator size
+// was never issued, so releasing it is an error, not an index panic.
+func TestCIDAllocatorOutOfRangeRelease(t *testing.T) {
+	a := NewCIDAllocator(8)
+	for _, cid := range []CID{8, 9, 65535} {
+		if err := a.Release(cid); err == nil {
+			t.Errorf("release of never-issued CID %d succeeded", cid)
+		}
+	}
+	if a.Outstanding() != 0 {
+		t.Fatalf("outstanding = %d", a.Outstanding())
+	}
+}
+
+// TestCIDAllocatorZeroAlloc pins Alloc/Release at zero allocations: the
+// allocator sits on every IO's submit and completion path.
+func TestCIDAllocatorZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	a := NewCIDAllocator(128)
+	var held [128]CID
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range held {
+			held[i], _ = a.Alloc()
+		}
+		for i := len(held) - 1; i >= 0; i-- {
+			_ = a.Release(held[i])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Alloc/Release: %v allocs per 128-CID cycle, want 0", allocs)
+	}
+}

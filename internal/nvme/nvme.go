@@ -118,6 +118,10 @@ type Command struct {
 // CommandSize is the wire size of an encoded submission entry.
 const CommandSize = 64
 
+// MaxBlocks is the most logical blocks one command can cover: NLB is a
+// 0's-based 16-bit field, so 65536 blocks encode as NLB 0xFFFF.
+const MaxBlocks = 1 << 16
+
 // Marshal encodes the command into a 64-byte SQE layout:
 // byte 0 opcode, byte 1 flags, bytes 2-3 CID, 4-7 NSID,
 // CDW10-11 (40-47) SLBA, CDW12 (48-49) NLB.

@@ -1,0 +1,5 @@
+//go:build race
+
+package nvme
+
+const raceEnabled = true

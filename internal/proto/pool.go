@@ -12,8 +12,8 @@ package proto
 //   - the Reader's scratch buffer: one per connection, grown to the
 //     largest PDU seen and reused for every wire read.
 //
-// Ownership rules (the transports enforce them; the simulator never
-// pools):
+// Ownership rules (the transports enforce them; the simulator pools PDU
+// structs but never payloads):
 //
 //   - A buffer obtained from GetBuf has exactly one owner at a time; the
 //     owner either hands it off (send path) or returns it with PutBuf.

@@ -361,6 +361,9 @@ func (d *delivery) advance() {
 
 // deliver returns the record to the free list, then hands the PDU to the
 // receiving session, which may send (and so reuse the record) at once.
+// The sessions draw per-request PDU structs from the proto pools and keep
+// no reference to them past HandlePDU, so the struct is recycled here —
+// never its payload, which the simulator does not pool.
 func (d *delivery) deliver() {
 	c, ini, p, toHost := d.c, d.ini, d.pdu, d.toHost
 	d.ini, d.pdu = nil, nil
@@ -370,6 +373,7 @@ func (d *delivery) deliver() {
 	} else {
 		c.fail(ini.tsess.HandlePDU(p))
 	}
+	proto.Recycle(p)
 }
 
 // Connect creates one initiator of the given host configuration on this

@@ -2,6 +2,7 @@ package simcluster
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"nvmeopf/internal/core"
@@ -25,9 +26,26 @@ type runnerPin struct {
 // each runner's outcome in build order (LS, TC, then scavenger).
 func runFanInMix(t testing.TB) (int64, targetqp.Stats, core.TargetPMStats, []runnerPin) {
 	t.Helper()
+	c, tn, runners := buildFanInMix(t, 20_000_000)
+	c.Run()
+	if err := c.CheckHealthy(); err != nil {
+		t.Fatal(err)
+	}
+	pins := make([]runnerPin, len(runners))
+	for i, r := range runners {
+		res := r.Result()
+		pins[i] = runnerPin{res.Completed, res.Latency.Sum(), res.Latency.Min(), res.Latency.Max()}
+	}
+	return c.Eng.Now(), tn.Target.Stats(), tn.Target.PMStats(), pins
+}
+
+// buildFanInMix builds runFanInMix's cluster with submission stopping at
+// stop nanoseconds and starts its runners; the caller runs the engine.
+func buildFanInMix(t testing.TB, stop int64) (*Cluster, *TargetNode, []*workload.Runner) {
+	t.Helper()
 	const (
 		nLS, nTC, nSC = 4, 8, 4
-		warm, stop    = 2_000_000, 20_000_000
+		warm          = 2_000_000
 	)
 	c := New(Options{Profile: ProfileCL(), Mode: targetqp.ModeOPF, Seed: 5, ScavengerAging: 2_000_000})
 	tn, err := c.NewTargetNode("tgt", false)
@@ -65,16 +83,43 @@ func runFanInMix(t testing.TB) (int64, targetqp.Stats, core.TargetPMStats, []run
 	for _, r := range runners {
 		r.Start()
 	}
-	c.Run()
+	return c, tn, runners
+}
+
+// TestFanInSteadyStateAllocs: once warm, the simulated per-IO path —
+// runner, host session, fabric delivery, target, PM, device model —
+// allocates at most once per completed IO on the mixed fan-in (what is
+// left is per-window PM bookkeeping).
+func TestFanInSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c, _, runners := buildFanInMix(t, 40_000_000)
+	completed := func() (n int64) {
+		for _, r := range runners {
+			n += r.Result().Completed
+		}
+		return n
+	}
+	c.Eng.RunUntil(10_000_000) // warm: pools, tables and heaps grown
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs, before := ms.Mallocs, completed()
+	c.Eng.RunUntil(30_000_000)
+	runtime.ReadMemStats(&ms)
+	ios := completed() - before
 	if err := c.CheckHealthy(); err != nil {
 		t.Fatal(err)
 	}
-	pins := make([]runnerPin, len(runners))
-	for i, r := range runners {
-		res := r.Result()
-		pins[i] = runnerPin{res.Completed, res.Latency.Sum(), res.Latency.Min(), res.Latency.Max()}
+	if ios < 2000 {
+		t.Fatalf("only %d IOs completed in 20 ms", ios)
 	}
-	return c.Eng.Now(), tn.Target.Stats(), tn.Target.PMStats(), pins
+	perIO := float64(ms.Mallocs-mallocs) / float64(ios)
+	t.Logf("%.3f allocs per IO over %d IOs", perIO, ios)
+	if perIO > 1 {
+		t.Fatalf("steady-state fan-in: %.2f allocs per IO, want <= 1", perIO)
+	}
 }
 
 // TestFanInMixDeterminismPin pins the exact outcome of a seeded mixed

@@ -125,14 +125,15 @@ type Config struct {
 	// Zero values mean base 0, stride 1 (a single unsharded target).
 	TenantBase   int
 	TenantStride int
-	// PooledPayloads opts the target into the proto buffer/struct pools:
-	// inbound write payloads are treated as pool-owned (taken from the
-	// CapsuleCmd and released once the device completes), and outbound
-	// CapsuleResp/C2HData PDUs come from the struct pools with pooled read
-	// buffers, to be released by the send function after marshal. Only a
-	// transport whose send path honours that ownership contract (the TCP
-	// server) may set it; the simulator passes PDUs by reference and must
-	// leave it false.
+	// PooledPayloads opts the target into the proto buffer pool: inbound
+	// write payloads are treated as pool-owned (taken from the CapsuleCmd
+	// and released once the device completes), and outbound C2HData carry
+	// pooled read buffers, to be released by the send function after
+	// marshal. Only a transport whose send path honours that ownership
+	// contract (the TCP server) may set it; the simulator passes payloads
+	// by reference and must leave it false. Either way, outbound
+	// CapsuleResp and C2HData structs come from the proto struct pools,
+	// and the transport recycles each once it has been delivered.
 	PooledPayloads bool
 }
 
@@ -308,14 +309,14 @@ func (t *Target) CloseSession(s *Session) {
 		// Dropped CIDs are queued (TC or scavenger) requests, so their pool
 		// entries exist; the priority feeds Release's class accounting.
 		prio := proto.PrioNormal
-		if req := s.reqs[cid]; req != nil {
+		if req := s.lookup(cid); req != nil {
 			prio = req.prio
 			if t.cfg.PooledPayloads {
 				proto.PutBuf(req.data)
 			}
+			s.forget(cid)
 			t.putReq(req)
 		}
-		delete(s.reqs, cid)
 		t.pm.Release(s.tenant, prio)
 	}
 	t.stats.Disconnects++
@@ -334,7 +335,7 @@ func (t *Target) CloseSession(s *Session) {
 	if t.cfg.Trace != nil {
 		t.cfg.Trace(telemetry.Event{Stage: telemetry.StageTeardown, Tenant: s.tenant, Aux: int64(len(dropped))})
 	}
-	if len(s.reqs) == 0 {
+	if s.live == 0 {
 		t.freeTenants = append(t.freeTenants, s.tenant)
 	}
 }
@@ -348,11 +349,7 @@ func (t *Target) NewSession(send func(proto.PDU)) (*Session, error) {
 	if t.nextTenant > 65535 && len(t.freeTenants) == 0 {
 		return nil, errors.New("targetqp: tenant ID space exhausted (65536 initiators)")
 	}
-	s := &Session{
-		target: t,
-		send:   send,
-		reqs:   make(map[nvme.CID]*tReq),
-	}
+	s := &Session{target: t, send: send}
 	return s, nil
 }
 
@@ -367,6 +364,19 @@ type tReq struct {
 	// arrivedAt is the Config.Clock value at command arrival, for
 	// target-side service-latency samples (0 when no clock is wired).
 	arrivedAt int64
+	// sess is the session the request arrived on.
+	sess *Session
+	// done is the backend completion callback (r.complete), bound once
+	// per pool entry so executing a request builds no closure.
+	done func(nvme.Completion, []byte)
+}
+
+// complete is the backend completion callback of the request.
+func (r *tReq) complete(cpl nvme.Completion, data []byte) {
+	if r.sess == nil {
+		return // a second callback for a retired entry — a backend bug
+	}
+	r.sess.onDeviceCompletion(r, cpl.Status, data)
 }
 
 // getReq draws a request-pool entry from the shard-local freelist.
@@ -376,13 +386,15 @@ func (t *Target) getReq() *tReq {
 		t.freeReqs = t.freeReqs[:n-1]
 		return r
 	}
-	return new(tReq)
+	r := new(tReq)
+	r.done = r.complete
+	return r
 }
 
 // putReq retires a request-pool entry. The caller releases req.data first
-// when it is pool-owned; putReq only drops the reference.
+// when it is pool-owned; putReq only drops the references.
 func (t *Target) putReq(r *tReq) {
-	*r = tReq{}
+	*r = tReq{done: r.done}
 	t.freeReqs = append(t.freeReqs, r)
 }
 
@@ -396,7 +408,42 @@ type Session struct {
 	// and no per-tenant telemetry recorded, but in-flight device callbacks
 	// still run PM completion accounting so sibling batches release.
 	dead bool
-	reqs map[nvme.CID]*tReq
+	// reqs is the request pool indexed by wire CID, sized from the
+	// ICReq's queue depth and grown on demand; a CID is a uint16, so it
+	// never exceeds the 65536-entry CID space. live counts its non-nil
+	// entries.
+	reqs []*tReq
+	live int
+}
+
+// maxCIDs is the size of the 16-bit CID space.
+const maxCIDs = 1 << 16
+
+// lookup returns the pool entry for cid, or nil.
+func (s *Session) lookup(cid nvme.CID) *tReq {
+	if int(cid) < len(s.reqs) {
+		return s.reqs[cid]
+	}
+	return nil
+}
+
+// track parks r in the pool under cid (which must be free), growing the
+// table to cover a CID beyond the host's advertised queue depth.
+func (s *Session) track(cid nvme.CID, r *tReq) {
+	if int(cid) >= len(s.reqs) {
+		n := max(2*len(s.reqs), int(cid)+1)
+		grown := make([]*tReq, min(n, maxCIDs))
+		copy(grown, s.reqs)
+		s.reqs = grown
+	}
+	s.reqs[cid] = r
+	s.live++
+}
+
+// forget removes cid's pool entry.
+func (s *Session) forget(cid nvme.CID) {
+	s.reqs[cid] = nil
+	s.live--
 }
 
 // Tenant returns the tenant ID assigned to this connection.
@@ -454,6 +501,9 @@ func (s *Session) handleICReq(pdu *proto.ICReq) error {
 		t.nextTenant += t.cfg.TenantStride
 	}
 	t.sessions[s.tenant] = s
+	// The host never has more than QueueDepth commands outstanding, so a
+	// table of that size covers a well-behaved host without growing.
+	s.reqs = make([]*tReq, max(int(pdu.QueueDepth), 1))
 	t.stats.Connections++
 	t.cfg.Telemetry.IncConnection()
 	t.cfg.Telemetry.SetClass(s.tenant, pdu.Prio)
@@ -519,7 +569,7 @@ func (s *Session) handleCmd(pdu *proto.CapsuleCmd) error {
 	t := s.target
 	t.stats.CmdPDUs++
 	cid := pdu.Cmd.CID
-	if _, dup := s.reqs[cid]; dup {
+	if s.lookup(cid) != nil {
 		s.respond(cid, nvme.StatusIDConflict, false)
 		return nil
 	}
@@ -542,7 +592,7 @@ func (s *Session) handleCmd(pdu *proto.CapsuleCmd) error {
 		return nil
 	}
 	req := t.getReq()
-	req.cmd, req.prio, req.data = pdu.Cmd, prio, pdu.Data
+	req.cmd, req.prio, req.data, req.sess = pdu.Cmd, prio, pdu.Data, s
 	if t.cfg.PooledPayloads {
 		// Take ownership of the pooled payload: the transport's
 		// ReleaseInbound must not free data parked in the request pool.
@@ -551,7 +601,7 @@ func (s *Session) handleCmd(pdu *proto.CapsuleCmd) error {
 	if t.cfg.Clock != nil {
 		req.arrivedAt = t.cfg.Clock()
 	}
-	s.reqs[cid] = req
+	s.track(cid, req)
 	t.cfg.Telemetry.IncSubmitted(s.tenant, int64(len(req.data)))
 	if t.cfg.Trace != nil {
 		t.cfg.Trace(telemetry.Event{Stage: telemetry.StageArrive, Tenant: s.tenant, CID: cid, Prio: prio, Aux: int64(len(req.data))})
@@ -585,8 +635,8 @@ func (t *Target) executeBatch(batch []core.TaggedCID) error {
 		if owner == nil {
 			return fmt.Errorf("targetqp: batch member for unknown tenant %d", m.Tenant)
 		}
-		r, ok := owner.reqs[m.CID]
-		if !ok {
+		r := owner.lookup(m.CID)
+		if r == nil {
 			return fmt.Errorf("targetqp: batch member CID %d missing from pool", m.CID)
 		}
 		owner.execute(r)
@@ -640,13 +690,11 @@ func (t *Target) CheckScavenger() (int, error) {
 // command's NSID. LS requests jump the device queue in oPF mode.
 func (s *Session) execute(req *tReq) {
 	t := s.target
-	tenant := s.tenant
-	cid := req.cmd.CID
 	be, ok := t.backends[req.cmd.NSID]
 	if !ok {
 		// Unknown namespace: complete with an error through the normal
 		// completion path so PM window accounting stays exact.
-		s.onDeviceCompletion(tenant, cid, nvme.StatusInvalidNSID, nil)
+		s.onDeviceCompletion(req, nvme.StatusInvalidNSID, nil)
 		return
 	}
 	high := t.cfg.Mode == ModeOPF && req.prio.LatencySensitive()
@@ -656,17 +704,15 @@ func (s *Session) execute(req *tReq) {
 	case nvme.OpWrite:
 		t.stats.Writes++
 	}
-	be.Submit(req.cmd, req.data, high, func(cpl nvme.Completion, data []byte) {
-		s.onDeviceCompletion(tenant, cid, cpl.Status, data)
-	})
+	be.Submit(req.cmd, req.data, high, req.done)
 }
 
 // onDeviceCompletion runs Alg. 4: ship read data, then ask the PM whether
 // a response PDU goes on the wire.
-func (s *Session) onDeviceCompletion(tenant proto.TenantID, cid nvme.CID, st nvme.Status, data []byte) {
+func (s *Session) onDeviceCompletion(req *tReq, st nvme.Status, data []byte) {
 	t := s.target
-	req := s.reqs[cid]
-	if req == nil {
+	tenant, cid := s.tenant, req.cmd.CID
+	if s.lookup(cid) != req {
 		// Completion for a request we no longer track — a backend bug.
 		return
 	}
@@ -674,7 +720,7 @@ func (s *Session) onDeviceCompletion(tenant proto.TenantID, cid nvme.CID, st nvm
 	// to reuse the CID the moment it sees the response, and with an
 	// in-process transport the reused command can arrive re-entrantly,
 	// before this function returns.
-	delete(s.reqs, cid)
+	s.forget(cid)
 	t.pm.Release(tenant, req.prio)
 	if !st.OK() {
 		t.stats.Errors++
@@ -702,15 +748,13 @@ func (s *Session) onDeviceCompletion(tenant proto.TenantID, cid nvme.CID, st nvm
 			maxSeg := int(t.cfg.MaxDataLen)
 			if len(data) <= maxSeg {
 				t.stats.DataPDUs++
+				d := proto.GetC2HData()
+				d.CCCID = cid
+				d.Data = data
 				if t.cfg.PooledPayloads {
-					d := proto.GetC2HData()
-					d.CCCID = cid
-					d.Data = data
 					data = nil // the send path releases payload and struct
-					s.send(d)
-				} else {
-					s.send(&proto.C2HData{CCCID: cid, Offset: 0, Data: data})
 				}
+				s.send(d)
 			} else {
 				for off := 0; off < len(data); off += maxSeg {
 					end := off + maxSeg
@@ -718,19 +762,19 @@ func (s *Session) onDeviceCompletion(tenant proto.TenantID, cid nvme.CID, st nvm
 						end = len(data)
 					}
 					t.stats.DataPDUs++
+					d := proto.GetC2HData()
+					d.CCCID = cid
+					d.Offset = uint32(off)
 					if t.cfg.PooledPayloads {
 						// Fragments must not alias one pooled buffer: the
 						// send path returns each payload to the pool
 						// independently, so every fragment gets its own.
-						d := proto.GetC2HData()
-						d.CCCID = cid
-						d.Offset = uint32(off)
 						d.Data = proto.GetBuf(end - off)
 						copy(d.Data, data[off:end])
-						s.send(d)
 					} else {
-						s.send(&proto.C2HData{CCCID: cid, Offset: uint32(off), Data: data[off:end]})
+						d.Data = data[off:end]
 					}
+					s.send(d)
 				}
 				if t.cfg.PooledPayloads {
 					proto.PutBuf(data)
@@ -749,7 +793,8 @@ func (s *Session) onDeviceCompletion(tenant proto.TenantID, cid nvme.CID, st nvm
 	// tenant's in-flight commands may be members of a shared drain window,
 	// and siblings' coalesced responses must still release in order. The
 	// dead tenant's own responses find no session and are discarded.
-	for _, rd := range t.pm.OnDeviceCompletion(tenant, cid, st) {
+	var rdBuf [8]core.RespDecision // stack storage: respond may re-enter
+	for _, rd := range t.pm.OnDeviceCompletion(rdBuf[:0], tenant, cid, st) {
 		if !rd.Send {
 			continue
 		}
@@ -765,27 +810,19 @@ func (s *Session) onDeviceCompletion(tenant proto.TenantID, cid nvme.CID, st nvm
 	// whose tenant vanished — impossible while DropTenant purges dead
 	// tenants' queues) and has no caller to surface to on this path.
 	_, _ = t.CheckScavenger()
-	if s.dead && len(s.reqs) == 0 {
+	if s.dead && s.live == 0 {
 		// Last in-flight callback has landed: the tenant ID is now safe to
 		// hand to a new connection.
 		t.freeTenants = append(t.freeTenants, s.tenant)
 	}
 }
 
-// respond emits one CapsuleResp. For coalesced responses, every pool
-// entry the response covers is retired.
+// respond emits one CapsuleResp. The struct comes from the proto pool
+// and is recycled by the transport once it is on the wire.
 func (s *Session) respond(cid nvme.CID, st nvme.Status, coalesced bool) {
-	t := s.target
-	t.stats.RespPDUs++
-	if t.cfg.PooledPayloads {
-		r := proto.GetCapsuleResp()
-		r.Cpl = nvme.Completion{CID: cid, Status: st}
-		r.Coalesced = coalesced
-		s.send(r)
-		return
-	}
-	s.send(&proto.CapsuleResp{
-		Cpl:       nvme.Completion{CID: cid, Status: st},
-		Coalesced: coalesced,
-	})
+	s.target.stats.RespPDUs++
+	r := proto.GetCapsuleResp()
+	r.Cpl = nvme.Completion{CID: cid, Status: st}
+	r.Coalesced = coalesced
+	s.send(r)
 }

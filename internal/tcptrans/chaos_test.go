@@ -201,8 +201,11 @@ func TestChaosVictimKilledSurvivorsMeetDrainWindows(t *testing.T) {
 // holding payload references) and is killed over and over mid-flight,
 // under -race. The invariants: no staged PDU is
 // released twice or leaked (the pools would corrupt and -race would
-// fire), reads landed by the zero-copy sink stay byte-exact across kills,
-// and every teardown returns its goroutines and target session.
+// fire), reads landed by the zero-copy sink in a caller-supplied buffer
+// stay byte-exact across kills, the buffer comes back only through
+// Result.Data (a failed completion withholds it, so the reader never
+// races the caller's reuse), and every teardown returns its goroutines
+// and target session.
 func TestChaosVectoredFlushKill(t *testing.T) {
 	base := runtime.NumGoroutine()
 	dev := newMemoryDevice(4096, 1<<14)
@@ -233,6 +236,7 @@ func TestChaosVectoredFlushKill(t *testing.T) {
 		for i := range want {
 			want[i] = byte(i * 13)
 		}
+		rbuf := make([]byte, burst*4096) // the caller-owned read buffer
 		first := true
 		for {
 			select {
@@ -289,11 +293,33 @@ func TestChaosVectoredFlushKill(t *testing.T) {
 				if !wok {
 					break
 				}
-				got, err := c.Read(0, burst, 0)
+				rdone := make(chan hostqp.Result, 1)
+				err := c.Submit(hostqp.IO{
+					Op: nvme.OpRead, LBA: 0, Blocks: burst, Data: rbuf,
+					Done: func(r hostqp.Result) { rdone <- r },
+				})
 				if err != nil {
+					rbuf = make([]byte, burst*4096)
 					break
 				}
-				if !bytes.Equal(got, want) {
+				var r hostqp.Result
+				select {
+				case r = <-rdone:
+				case <-c.dead:
+				}
+				if r.Data == nil {
+					// Withheld (or not yet returned): the dead connection's
+					// reader may still own it. Read into a fresh one.
+					rbuf = make([]byte, burst*4096)
+					break
+				}
+				if &r.Data[0] != &rbuf[0] {
+					t.Error("Result.Data is not the caller's read buffer")
+				}
+				if !r.Status.OK() {
+					break
+				}
+				if !bytes.Equal(r.Data, want) {
 					t.Error("zero-copy read reassembled wrong bytes after a kill")
 					c.Close()
 					return

@@ -157,9 +157,11 @@ type Conn struct {
 	// readBufs registers each in-flight read's destination buffer by CID
 	// (written by the reactor via the hostqp hooks, read by the reader's
 	// C2HSink) so inbound C2HData payloads land directly in the caller's
-	// buffer at Offset — the zero-copy read path.
+	// buffer at Offset — the zero-copy read path. Indexed by CID and sized
+	// to the queue depth, which bounds every CID the session issues; the
+	// sink declines wire CIDs beyond it.
 	readMu   sync.Mutex
-	readBufs map[nvme.CID][]byte
+	readBufs [][]byte
 }
 
 // netClose closes the socket exactly once, from whichever path gets
@@ -192,15 +194,14 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 		return nil, err
 	}
 	c := &Conn{
-		conn:     nc,
-		tel:      cfg.Telemetry,
-		events:   make(chan func(), 1024),
-		quit:     make(chan struct{}),
-		dead:     make(chan struct{}),
-		readBufs: make(map[nvme.CID][]byte),
+		conn:   nc,
+		tel:    cfg.Telemetry,
+		events: make(chan func(), 1024),
+		quit:   make(chan struct{}),
+		dead:   make(chan struct{}),
 	}
 	// The read-buffer hooks are transport-owned: the session announces
-	// each read's preallocated destination before the command hits the
+	// each read's destination buffer before the command hits the
 	// wire and retires it when the request leaves the pending set, so the
 	// reader's sink below can land C2HData payloads with no staging copy.
 	cfg.OnReadBuffer = func(cid nvme.CID, buf []byte) {
@@ -210,7 +211,7 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 	}
 	cfg.OnReadRetire = func(cid nvme.CID) {
 		c.readMu.Lock()
-		delete(c.readBufs, cid)
+		c.readBufs[cid] = nil
 		c.readMu.Unlock()
 	}
 	out := make(chan proto.PDU, 256)
@@ -225,6 +226,7 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 		return nil, err
 	}
 	c.sess = sess
+	c.readBufs = make([][]byte, cfg.QueueDepth) // New validated the depth
 	if dcfg.TelemetryInterval > 0 {
 		// Attach the accumulator before any goroutine can touch the
 		// session; the emission ticker starts below.
@@ -279,8 +281,11 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 		// falling through to direct reads into the destination.
 		rd := proto.NewReader(bufio.NewReaderSize(nc, 64<<10), true)
 		rd.SetC2HSink(func(cid nvme.CID, off, n uint32) []byte {
+			var buf []byte
 			c.readMu.Lock()
-			buf := c.readBufs[cid]
+			if int(cid) < len(c.readBufs) {
+				buf = c.readBufs[cid]
+			}
 			c.readMu.Unlock()
 			if end := uint64(off) + uint64(n); buf == nil || end > uint64(len(buf)) {
 				return nil

@@ -156,11 +156,15 @@ type Runner struct {
 	rng     *simnet.Rand
 	nextLBA uint64
 	buf     []byte
-	res     Result
-	done    bool
-	flushed bool
-	backoff bool // a probe tick is armed
-	probe   int  // slow-start refill budget per tick
+	// readBufs recycles read destinations: each read's buffer comes back
+	// through Result.Data and is handed to the next read.
+	readBufs [][]byte
+	onDoneFn func(hostqp.Result) // r.onDone, bound once
+	res      Result
+	done     bool
+	flushed  bool
+	backoff  bool // a probe tick is armed
+	probe    int  // slow-start refill budget per tick
 }
 
 // NewRunner prepares a runner over a connected (or connecting) session.
@@ -178,6 +182,7 @@ func NewRunner(sess *hostqp.Session, clock func() int64, spec Spec) (*Runner, er
 		rng:     simnet.NewRand(spec.Seed),
 		nextLBA: spec.RegionStart,
 	}
+	r.onDoneFn = r.onDone
 	if !spec.UniqueBuffers {
 		r.buf = make([]byte, int(spec.Blocks)*int(spec.BlockSize))
 	}
@@ -261,21 +266,41 @@ func (r *Runner) submitOne() bool {
 		} else {
 			data = r.buf
 		}
+	} else {
+		data = r.readBuf()
 	}
 	err := r.sess.Submit(hostqp.IO{
 		Op:     op,
 		LBA:    r.pickLBA(),
 		Blocks: r.spec.Blocks,
 		Data:   data,
-		Done:   r.onDone,
+		Done:   r.onDoneFn,
 	})
 	if err != nil {
 		// Queue full or disconnected; closed loop retries on the next
 		// completion, so just account it.
+		if op == nvme.OpRead && data != nil {
+			r.readBufs = append(r.readBufs, data)
+		}
 		return false
 	}
 	r.res.Submitted++
 	return true
+}
+
+// readBuf returns a destination for the next read: a recycled one, or a
+// fresh one sized from the session's namespace geometry. Nil (the session
+// allocates) while the geometry is unknown.
+func (r *Runner) readBuf() []byte {
+	if n := len(r.readBufs); n > 0 {
+		b := r.readBufs[n-1]
+		r.readBufs = r.readBufs[:n-1]
+		return b
+	}
+	if bs := r.sess.BlockSize(); bs > 0 {
+		return make([]byte, int(r.spec.Blocks)*int(bs))
+	}
+	return nil
 }
 
 // flushTail sends one final draining request so a partial TC window left
@@ -330,6 +355,11 @@ func (r *Runner) armProbe() {
 // onDone records a completion and keeps the loop closed.
 func (r *Runner) onDone(res hostqp.Result) {
 	r.res.Completed++
+	if bs := r.sess.BlockSize(); bs > 0 && len(res.Data) == int(r.spec.Blocks)*int(bs) {
+		// Only reads return data, and the runner never inspects it: the
+		// buffer is free for the next read.
+		r.readBufs = append(r.readBufs, res.Data)
+	}
 	if res.Status == nvme.StatusBusy && r.spec.Defer != nil {
 		// Admission pushback is flow control, not a failure: the command
 		// never executed. Collapse to a single probe per tick and let the
